@@ -14,7 +14,6 @@ void InfoMapping::RecordCompleted(TokenId token, sim::NodeId worker) {
   FELA_CHECK(holder_.find(token) == holder_.end())
       << "token " << token << " completed twice";
   holder_[token] = worker;
-  completed_by_[worker].insert(token);
   assignee_.erase(token);
 }
 
@@ -32,16 +31,13 @@ bool InfoMapping::IsCompleted(TokenId token) const {
   return holder_.count(token) > 0;
 }
 
-const std::unordered_set<TokenId>& InfoMapping::CompletedBy(
-    sim::NodeId worker) const {
-  static const std::unordered_set<TokenId> kEmpty;
-  auto it = completed_by_.find(worker);
-  return it == completed_by_.end() ? kEmpty : it->second;
-}
-
 std::vector<TokenId> InfoMapping::CompletedBySorted(sim::NodeId worker) const {
-  const auto& held = CompletedBy(worker);
-  std::vector<TokenId> out(held.begin(), held.end());
+  std::vector<TokenId> out;
+  // fela-lint: allow(unordered-iter): this IS the snapshot pattern: the
+  // collected keys are sorted before anything observes them.
+  for (const auto& [token, holder] : holder_) {
+    if (holder == worker) out.push_back(token);
+  }
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -67,10 +63,9 @@ std::vector<std::pair<TokenId, sim::NodeId>> InfoMapping::AssignmentsSorted()
 double InfoMapping::LocalityScore(sim::NodeId worker,
                                   const std::vector<TokenId>& deps) const {
   if (deps.empty()) return 1.0;
-  const auto& held = CompletedBy(worker);
   size_t hits = 0;
   for (TokenId d : deps) {
-    if (held.count(d) > 0) ++hits;
+    if (HolderOf(d) == worker) ++hits;
   }
   return static_cast<double>(hits) / static_cast<double>(deps.size());
 }
@@ -78,10 +73,9 @@ double InfoMapping::LocalityScore(sim::NodeId worker,
 double InfoMapping::LocalityScore(sim::NodeId worker,
                                   const std::vector<TokenDep>& deps) const {
   if (deps.empty()) return 1.0;
-  const auto& held = CompletedBy(worker);
   size_t hits = 0;
   for (const auto& d : deps) {
-    if (held.count(d.id) > 0) ++hits;
+    if (HolderOf(d.id) == worker) ++hits;
   }
   return static_cast<double>(hits) / static_cast<double>(deps.size());
 }
@@ -89,7 +83,6 @@ double InfoMapping::LocalityScore(sim::NodeId worker,
 void InfoMapping::Reset() {
   holder_.clear();
   assignee_.clear();
-  completed_by_.clear();
 }
 
 }  // namespace fela::core

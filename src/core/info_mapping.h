@@ -2,7 +2,6 @@
 #define FELA_CORE_INFO_MAPPING_H_
 
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -14,7 +13,8 @@ namespace fela::core {
 /// The token server's (worker, token) bookkeeping (§III-A): which worker
 /// completed each token (and therefore holds its output parameters in its
 /// Parameter Chunks), which worker is currently training which token, and
-/// the per-worker completed sets H_wid used by the Eq. 1 locality score.
+/// the per-worker completed sets H_wid used by the Eq. 1 locality score
+/// (t is in H_w exactly when HolderOf(t) == w, so H_w is not stored).
 class InfoMapping {
  public:
   InfoMapping() = default;
@@ -35,17 +35,14 @@ class InfoMapping {
 
   bool IsCompleted(TokenId token) const;
 
-  /// H_wid: tokens completed by `worker` this iteration. Safe for
-  /// membership tests and counting only — NEVER range-for this set into
-  /// anything observable (events, trace lines, tie-breaks): iteration
-  /// order is hash order, which varies across platforms and runs.
-  const std::unordered_set<TokenId>& CompletedBy(sim::NodeId worker) const;
-
   /// Sorted-key-snapshot pattern: any code that *iterates* the unordered
   /// state below and feeds the results into event emission, logging,
   /// span output, or tie-breaking must first copy the keys into a
   /// sorted vector (what these helpers do) so the visit order is
   /// deterministic. fela-lint's unordered-iter rule enforces this.
+  ///
+  /// H_wid: tokens completed by `worker` this iteration, ascending (a
+  /// scan of every completion — for tests and reports, not hot paths).
   std::vector<TokenId> CompletedBySorted(sim::NodeId worker) const;
 
   /// All completed token ids, ascending.
@@ -69,7 +66,6 @@ class InfoMapping {
  private:
   std::unordered_map<TokenId, sim::NodeId> holder_;
   std::unordered_map<TokenId, sim::NodeId> assignee_;
-  std::unordered_map<sim::NodeId, std::unordered_set<TokenId>> completed_by_;
 };
 
 }  // namespace fela::core

@@ -24,6 +24,12 @@ uint64_t g_mutation_report_count = 0;
 // mutated while a sweep is in flight.
 bool g_shard_mutation_enabled = false;
 
+// Waiter-service reference switch (see SetWaiterServiceReferenceForTesting).
+// fela-lint: allow(sweep-shared-state): test-only oracle knob, armed once
+// before a run on the same thread that reads it; never mutated while a
+// sweep is in flight.
+bool g_waiter_reference_enabled = false;
+
 }  // namespace
 
 void SetTokenServerMutationForTesting(bool enabled) {
@@ -39,11 +45,16 @@ void SetShardDonationMutationForTesting(bool enabled) {
 
 bool ShardDonationMutationForTesting() { return g_shard_mutation_enabled; }
 
+void SetWaiterServiceReferenceForTesting(bool enabled) {
+  g_waiter_reference_enabled = enabled;
+}
+
 TokenServer::Stats& TokenServer::Stats::operator+=(const Stats& other) {
   grants += other.grants;
   steals += other.steals;
   conflicts += other.conflicts;
   enqueued_waits += other.enqueued_waits;
+  grant_attempts += other.grant_attempts;
   conflict_delay_total += other.conflict_delay_total;
   remote_dep_fetches += other.remote_dep_fetches;
   local_dep_hits += other.local_dep_hits;
@@ -100,6 +111,32 @@ TokenServer::TokenServer(sim::Simulator* sim, const sim::Calibration* cal,
   helper_count_.assign(static_cast<size_t>(n), 0);
   outstanding_.assign(static_cast<size_t>(n), kInvalidTokenId);
   down_.assign(static_cast<size_t>(n), false);
+  // Worker 0 stands for the CTD subset (when it is non-empty, else its
+  // slots are never read) and worker ctd_subset_size for the rest.
+  for (int in_subset = 0; in_subset < 2; ++in_subset) {
+    const sim::NodeId rep = in_subset ? 0 : config_->ctd_subset_size;
+    for (int relaxed = 0; relaxed < 2; ++relaxed) {
+      orders_[static_cast<size_t>(2 * in_subset + relaxed)] =
+          MakePriorityOrder(rep, relaxed != 0);
+    }
+  }
+}
+
+TokenServer::PriorityOrder TokenServer::MakePriorityOrder(
+    sim::NodeId worker, bool ctd_relaxed) const {
+  PriorityOrder p;
+  p.levels = LevelPriorityFor(worker, *config_, *plan_, ctd_relaxed);
+  for (int l : p.levels) {
+    if (plan_->level(l).communication_intensive) p.comm_levels.push_back(l);
+  }
+  return p;
+}
+
+bool TokenServer::AnyTokenAvailable() const {
+  for (int avail : level_avail_) {
+    if (avail > 0) return true;
+  }
+  return false;
 }
 
 void TokenServer::NoteBucketAdd(int shard, int level) {
@@ -641,14 +678,24 @@ std::optional<Token> TokenServer::TakeFor(sim::NodeId worker, bool* stolen,
   for (int w = 0; ctd_relaxed && w < config_->ctd_subset_size; ++w) {
     if (!down_[static_cast<size_t>(w)]) ctd_relaxed = false;
   }
-  const std::vector<int> order =
-      LevelPriorityFor(worker, *config_, *plan_, ctd_relaxed);
+  const bool in_subset = worker < config_->ctd_subset_size;
+  // The reference path rebuilds the orders on every call, as the server
+  // did before they were memoized.
+  const PriorityOrder rebuilt = g_waiter_reference_enabled
+                                    ? MakePriorityOrder(worker, ctd_relaxed)
+                                    : PriorityOrder{};
+  const PriorityOrder& orders =
+      g_waiter_reference_enabled
+          ? rebuilt
+          : orders_[static_cast<size_t>(2 * in_subset + ctd_relaxed)];
+  const std::vector<int>& order = orders.levels;
   if (order.empty()) return std::nullopt;
   // O(levels) fast-fail off the global availability cache: when no
   // bucket anywhere holds a token at any requested level, the request
   // parks without touching a single bucket (the path that used to cost a
-  // full worker scan). A failed attempt takes no lock and bumps no stat,
-  // so this is observationally identical to the scan finding nothing.
+  // full worker scan). A failed attempt takes no lock and bumps no ledger
+  // entry (only TryGrant's grant_attempts work counter), so this is
+  // observationally identical to the scan finding nothing.
   bool any_available = false;
   for (int l : order) {
     if (level_avail_[static_cast<size_t>(l)] > 0) {
@@ -694,11 +741,8 @@ std::optional<Token> TokenServer::TakeFor(sim::NodeId worker, bool* stolen,
   // CTD: subset workers hunt communication-intensive tokens before
   // anything else (their priority is T-comm > rest, §III-F) — own STB,
   // then their shard's members, then any donor shard.
-  if (CtdActive() && worker < config_->ctd_subset_size) {
-    std::vector<int> comm_order;
-    for (int l : order) {
-      if (plan_->level(l).communication_intensive) comm_order.push_back(l);
-    }
+  if (CtdActive() && in_subset) {
+    const std::vector<int>& comm_order = orders.comm_levels;
     if (!comm_order.empty()) {
       if (own.HasTokenForOrder(comm_order)) {
         std::optional<Token> token =
@@ -841,12 +885,13 @@ bool TokenServer::TryGrant(sim::NodeId worker) {
       outstanding_[static_cast<size_t>(worker)] != kInvalidTokenId) {
     return false;
   }
+  Stats& st = shard_stats_[static_cast<size_t>(shard)];
+  ++st.grant_attempts;
   bool stolen = false;
   bool cross = false;
   double delay = 0.0;
   std::optional<Token> token = TakeFor(worker, &stolen, &cross, &delay);
   if (!token.has_value()) return false;
-  Stats& st = shard_stats_[static_cast<size_t>(shard)];
   ++st.grants;
   if (stolen) ++st.steals;
   if (cross) ++st.cross_shard_steals;
@@ -913,6 +958,12 @@ void TokenServer::ServeWaiters() {
   // donor surplus a cross-shard waiter needs), so the outer loop repeats
   // until a full pass over all shards makes no progress. One shard
   // degenerates to the original single-queue loop.
+  //
+  // Availability gate: once no bucket holds a token at any level, every
+  // remaining TryGrant would end at TakeFor's fast-fail, which takes no
+  // lock, bumps no ledger entry and moves no token — so stopping there is
+  // exact, and a report that generated nothing costs O(levels), not a
+  // rescan of every waiter.
   bool progress = true;
   while (progress) {
     progress = false;
@@ -920,6 +971,7 @@ void TokenServer::ServeWaiters() {
       if (shard_fenced_[static_cast<size_t>(s)]) continue;
       auto& waiters = shard_waiters_[static_cast<size_t>(s)];
       for (auto it = waiters.begin(); it != waiters.end();) {
+        if (!g_waiter_reference_enabled && !AnyTokenAvailable()) return;
         if (TryGrant(*it)) {
           waiting_[static_cast<size_t>(*it)] = false;
           it = waiters.erase(it);
@@ -1065,8 +1117,12 @@ void TokenServer::ReclaimLease(int shard, TokenId id, bool expired) {
   ++token.attempt;
   if (cbs_.on_reclaim) cbs_.on_reclaim(token, lease.worker);
   // The reclaimed token migrates to the most local up worker's bucket —
-  // possibly in another shard, which then owns it outright.
+  // possibly in another shard, which then owns it outright. This shard
+  // booked the reclaim, so the destination's regrants <= reclaimed bound
+  // is credited the way a cross-shard steal credits the thief.
   const sim::NodeId home = ReclaimDestination(token);
+  const int dest = ShardOfWorker(home);
+  if (dest != shard) ++migrated_reclaims_in_[static_cast<size_t>(dest)];
   AddFreshToken(std::move(token), home);
   ServeWaiters();
 }

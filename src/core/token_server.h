@@ -2,6 +2,7 @@
 #define FELA_CORE_TOKEN_SERVER_H_
 
 #include <algorithm>
+#include <array>
 #include <deque>
 #include <functional>
 #include <optional>
@@ -99,7 +100,14 @@ class FELA_THREAD_HOSTILE TokenServer {
     uint64_t grants = 0;
     uint64_t steals = 0;
     uint64_t conflicts = 0;
+    /// Requests HandleRequest parked because no grant was possible. The
+    /// reporter HandleReport parks after a failed implicit request is
+    /// not counted.
     uint64_t enqueued_waits = 0;
+    /// TryGrant calls that reached TakeFor (the worker was up, idle, and
+    /// in a live shard): the distributor's deterministic work counter.
+    /// Every grant is one attempt; the excess is wasted waiter service.
+    uint64_t grant_attempts = 0;
     double conflict_delay_total = 0.0;
     uint64_t remote_dep_fetches = 0;
     uint64_t local_dep_hits = 0;
@@ -126,6 +134,7 @@ class FELA_THREAD_HOSTILE TokenServer {
     /// Element-wise sum — used by the engine to fold stats archived from
     /// failed-over incarnations into one cumulative ledger.
     Stats& operator+=(const Stats& other);
+    bool operator==(const Stats& other) const = default;
   };
 
   /// A deterministic snapshot of everything a standby needs to resume
@@ -320,6 +329,16 @@ class FELA_THREAD_HOSTILE TokenServer {
   /// Tries to grant a token to `worker`; delivers via callback on
   /// success.
   bool TryGrant(sim::NodeId worker);
+  /// LevelPriorityFor's result for one worker class, plus the
+  /// communication-intensive levels a CTD subset worker hunts first.
+  struct PriorityOrder {
+    std::vector<int> levels;
+    std::vector<int> comm_levels;
+  };
+  PriorityOrder MakePriorityOrder(sim::NodeId worker, bool ctd_relaxed) const;
+  /// True when any bucket holds a token at any level. When false, every
+  /// TryGrant ends at TakeFor's side-effect-free fast-fail.
+  bool AnyTokenAvailable() const;
   /// Selection across buckets per HF/CTD; fills steal/conflict info.
   std::optional<Token> TakeFor(sim::NodeId worker, bool* stolen,
                                bool* cross_shard, double* extra_delay);
@@ -377,6 +396,10 @@ class FELA_THREAD_HOSTILE TokenServer {
   int num_shards_ = 1;
   int shard_block_ = 0;
 
+  /// LevelPriorityFor depends on the worker only through CTD-subset
+  /// membership, so there are at most four orders, built once:
+  /// orders_[2 * in_ctd_subset + ctd_relaxed].
+  std::array<PriorityOrder, 4> orders_;
   InfoMapping info_;
   std::vector<TokenBucket> stbs_;  // size N when HF; one per shard otherwise
   // Per-level completion pools feeding token generation. With HF each
@@ -450,6 +473,13 @@ bool TokenServerMutationForTesting();
 /// the shard-conservation audit (cache vs bucket recount) must bite.
 void SetShardDonationMutationForTesting(bool enabled);
 bool ShardDonationMutationForTesting();
+
+/// Test-only differential oracle for the waiter service: while enabled,
+/// ServeWaiters runs the ungated fixed-point rescan (every waiter of
+/// every shard is retried even when no bucket holds a token) and TakeFor
+/// rebuilds LevelPriorityFor on every call. Simulated behavior must be
+/// identical either way; only Stats::grant_attempts may differ.
+void SetWaiterServiceReferenceForTesting(bool enabled);
 
 }  // namespace fela::core
 

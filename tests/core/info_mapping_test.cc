@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace fela::core {
 namespace {
 
@@ -29,9 +31,9 @@ TEST(InfoMappingTest, CompletedBySetGrows) {
   info.RecordCompleted(1, 0);
   info.RecordCompleted(2, 0);
   info.RecordCompleted(3, 1);
-  EXPECT_EQ(info.CompletedBy(0).size(), 2u);
-  EXPECT_EQ(info.CompletedBy(1).size(), 1u);
-  EXPECT_TRUE(info.CompletedBy(7).empty());
+  EXPECT_EQ(info.CompletedBySorted(0), (std::vector<TokenId>{1, 2}));
+  EXPECT_EQ(info.CompletedBySorted(1), (std::vector<TokenId>{3}));
+  EXPECT_EQ(info.CompletedBySorted(7), (std::vector<TokenId>{}));
 }
 
 TEST(InfoMappingDeathTest, DoubleCompletionAborts) {
@@ -83,7 +85,7 @@ TEST(InfoMappingTest, ResetClearsEverything) {
   info.Reset();
   EXPECT_EQ(info.HolderOf(2), -1);
   EXPECT_EQ(info.AssigneeOf(1), -1);
-  EXPECT_TRUE(info.CompletedBy(0).empty());
+  EXPECT_EQ(info.CompletedBySorted(0), (std::vector<TokenId>{}));
   EXPECT_EQ(info.completed_count(), 0u);
 }
 

@@ -3,8 +3,10 @@
 // against transcript fingerprints captured from the pre-shard
 // single-server build on both determinism gate specs (fig8 fault-free
 // and the control-plane chaos gate) — the sharding refactor must be
-// invisible at S=1; (2) sharded runs keep the conservation ledger per
-// shard and cluster-wide and replay deterministically; (3) an
+// invisible at S=1, and a 256-worker 8-shard racked run matches its own
+// golden; (2) sharded runs keep the conservation ledger per shard and
+// cluster-wide, replay deterministically, and make at most two grant
+// attempts per grant; (3) an
 // imbalanced-STB spec (one rack gray-slowed) actually exercises the
 // hierarchical cross-shard steal path.
 
@@ -37,6 +39,11 @@ constexpr uint64_t kFig8BinaryGolden = 0x2e86ea234a612ce6ull;
 constexpr uint64_t kFig8TextGolden = 0x6164985474e15245ull;
 constexpr uint64_t kChaosBinaryGolden = 0xfc7a94e25c8ef8dcull;
 constexpr uint64_t kChaosTextGolden = 0xbbf21a4bd400e4a1ull;
+// The same fingerprints for a sharded racked run (ShardedRackedSpec),
+// recorded before the waiter-service gate: the only tier-1 pin on the
+// S>1 grant path.
+constexpr uint64_t kShardedRackedBinaryGolden = 0x1a532ba8387aaa97ull;
+constexpr uint64_t kShardedRackedTextGolden = 0xad625e4d4b4e3b70ull;
 
 int Vgg19Levels() {
   return static_cast<int>(
@@ -117,6 +124,59 @@ TEST(ShardEquivalence, ChaosGateByteIdenticalToPreShardServer) {
       RunAndHash(gate, suite::FelaFactory(model, cfg), ChaosFaults());
   EXPECT_EQ(explicit_one.binary, kChaosBinaryGolden);
   EXPECT_EQ(explicit_one.text, kChaosTextGolden);
+}
+
+// --- S>1 byte-identity ---------------------------------------------------
+
+/// 256 weak-scaled workers on 32-node racks (40 Gbps uplinks, 5 us per
+/// hop) with auto sharding: eight sub-distributors.
+ExperimentSpec ShardedRackedSpec() {
+  ExperimentSpec spec;
+  spec.num_workers = 256;
+  spec.total_batch = 16.0 * spec.num_workers;
+  spec.iterations = 5;
+  spec.calibration.topology = sim::Topology::Racked(32, 5e9, 5e-6);
+  return spec;
+}
+
+TEST(ShardEquivalence, ShardedRackedRunMatchesGolden) {
+  ExperimentSpec spec = ShardedRackedSpec();
+  int shards = 0;
+  spec.post_run_probe = [&](const Engine& engine, Cluster&) {
+    shards = dynamic_cast<const core::FelaEngine&>(engine)
+                 .token_server()
+                 .num_shards();
+  };
+  const TranscriptHashes h = RunAndHash(
+      spec,
+      suite::FelaFactory(model::zoo::Vgg19(),
+                         core::FelaConfig::Defaults(Vgg19Levels(),
+                                                    spec.num_workers)),
+      nullptr);
+  EXPECT_EQ(shards, 8);
+  EXPECT_EQ(h.binary, kShardedRackedBinaryGolden) << std::hex << h.binary;
+  EXPECT_EQ(h.text, kShardedRackedTextGolden) << std::hex << h.text;
+}
+
+TEST(ShardedWorkCounter, GrantAttemptsStayWithinTwicePerGrant) {
+  // The waiter service retries parked workers only while some bucket
+  // holds a token, so fault-free attempts stay near one per grant (1.33
+  // here; the ungated rescan made 44).
+  ExperimentSpec spec = ShardedRackedSpec();
+  core::TokenServer::Stats stats;
+  spec.post_run_probe = [&](const Engine& engine, Cluster&) {
+    stats = dynamic_cast<const core::FelaEngine&>(engine).CumulativeTsStats();
+  };
+  RunExperiment(spec,
+                suite::FelaFactory(model::zoo::Vgg19(),
+                                   core::FelaConfig::Defaults(
+                                       Vgg19Levels(), spec.num_workers)),
+                NoStragglerFactory());
+  EXPECT_GT(stats.grants, 0u);
+  EXPECT_GE(stats.grant_attempts, stats.grants);
+  EXPECT_LE(stats.grant_attempts, 2 * stats.grants)
+      << stats.grant_attempts << " attempts for " << stats.grants
+      << " grants";
 }
 
 // --- Sharded-run invariants -------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -38,56 +39,70 @@ void Json::SortKeysRecursive() {
   }
 }
 
-std::string Json::Quote(std::string_view s) {
-  std::string out = "\"";
-  for (const char c : s) {
+void AppendJsonString(std::string* out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  *out += '"';
+  size_t run = 0;  // start of the pending run of verbatim bytes
+  for (size_t i = 0; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out->append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"':
-        out += "\\\"";
+        *out += "\\\"";
         break;
       case '\\':
-        out += "\\\\";
+        *out += "\\\\";
         break;
       case '\n':
-        out += "\\n";
+        *out += "\\n";
         break;
       case '\r':
-        out += "\\r";
+        *out += "\\r";
         break;
       case '\t':
-        out += "\\t";
+        *out += "\\t";
         break;
       default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out += c;
-        }
+        *out += "\\u00";
+        *out += kHex[c >> 4];
+        *out += kHex[c & 0xf];
     }
   }
-  out += '"';
+  out->append(s.data() + run, s.size() - run);
+  *out += '"';
+}
+
+void AppendJsonNumber(std::string* out, double n) {
+  if (!std::isfinite(n)) {  // JSON has no Inf/NaN
+    *out += "null";
+    return;
+  }
+  // to_chars formats exactly as printf's "%lld" and "%.17g" do, without
+  // the locale and varargs machinery (pinned by json_test).
+  char buf[32];
+  std::to_chars_result r;
+  if (std::abs(n) < 1e15 &&
+      n == static_cast<double>(static_cast<long long>(n))) {
+    r = std::to_chars(buf, buf + sizeof(buf), static_cast<long long>(n));
+  } else {
+    r = std::to_chars(buf, buf + sizeof(buf), n, std::chars_format::general,
+                      17);
+  }
+  out->append(buf, r.ptr);
+}
+
+std::string Json::Quote(std::string_view s) {
+  std::string out;
+  AppendJsonString(&out, s);
   return out;
 }
 
-namespace {
-
-std::string NumberToString(double n) {
-  if (!std::isfinite(n)) return "null";  // JSON has no Inf/NaN
-  if (n == static_cast<double>(static_cast<long long>(n)) &&
-      std::abs(n) < 1e15) {
-    return StrFormat("%lld", static_cast<long long>(n));
-  }
-  return StrFormat("%.17g", n);
-}
-
-}  // namespace
-
 void Json::DumpTo(std::string* out, int indent, int depth) const {
   const bool pretty = indent >= 0;
-  const std::string pad =
-      pretty ? std::string(static_cast<size_t>(indent * (depth + 1)), ' ') : "";
-  const std::string close_pad =
-      pretty ? std::string(static_cast<size_t>(indent * depth), ' ') : "";
+  const size_t pad = pretty ? static_cast<size_t>(indent * (depth + 1)) : 0;
+  const size_t close_pad = pretty ? static_cast<size_t>(indent * depth) : 0;
   const char* nl = pretty ? "\n" : "";
   const char* colon = pretty ? ": " : ":";
   switch (type_) {
@@ -98,10 +113,10 @@ void Json::DumpTo(std::string* out, int indent, int depth) const {
       *out += bool_ ? "true" : "false";
       return;
     case Type::kNumber:
-      *out += NumberToString(number_);
+      AppendJsonNumber(out, number_);
       return;
     case Type::kString:
-      *out += Quote(string_);
+      AppendJsonString(out, string_);
       return;
     case Type::kArray: {
       if (items_.empty()) {
@@ -111,12 +126,12 @@ void Json::DumpTo(std::string* out, int indent, int depth) const {
       *out += '[';
       *out += nl;
       for (size_t i = 0; i < items_.size(); ++i) {
-        *out += pad;
+        out->append(pad, ' ');
         items_[i].DumpTo(out, indent, depth + 1);
         if (i + 1 < items_.size()) *out += ',';
         *out += nl;
       }
-      *out += close_pad;
+      out->append(close_pad, ' ');
       *out += ']';
       return;
     }
@@ -128,14 +143,14 @@ void Json::DumpTo(std::string* out, int indent, int depth) const {
       *out += '{';
       *out += nl;
       for (size_t i = 0; i < members_.size(); ++i) {
-        *out += pad;
-        *out += Quote(members_[i].first);
+        out->append(pad, ' ');
+        AppendJsonString(out, members_[i].first);
         *out += colon;
         members_[i].second.DumpTo(out, indent, depth + 1);
         if (i + 1 < members_.size()) *out += ',';
         *out += nl;
       }
-      *out += close_pad;
+      out->append(close_pad, ' ');
       *out += '}';
       return;
     }

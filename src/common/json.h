@@ -85,6 +85,19 @@ class Json {
   std::map<std::string, size_t, std::less<>> index_;   // key -> members_ slot
 };
 
+/// Appends `n` as Json::Dump writes numbers: `null` for NaN and
+/// infinities (JSON has neither), plain digits for integral values
+/// below 1e15 in magnitude (-0.0 included, as "0"), and printf's
+/// "%.17g" otherwise. Json::Dump and the streaming exporters
+/// (obs::ChromeTraceString) share this one formatter, so they cannot
+/// disagree about a byte.
+void AppendJsonNumber(std::string* out, double n);
+
+/// Appends `s` as a JSON string literal, quotes included: `"` and `\`
+/// backslash-escaped, \n \r \t by name, other control bytes as
+/// \u00XX, everything else (UTF-8 included) verbatim.
+void AppendJsonString(std::string* out, std::string_view s);
+
 }  // namespace fela::common
 
 #endif  // FELA_COMMON_JSON_H_

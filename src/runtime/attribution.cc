@@ -8,36 +8,15 @@
 
 namespace fela::obs {
 
-namespace {
+namespace internal_attribution {
 
-/// Only these phases are attributable activity; kIteration is framing
-/// and kIdle is derived, never recorded.
 bool Attributable(Phase phase) {
   return static_cast<int>(phase) < static_cast<int>(Phase::kIteration);
 }
 
-struct ClippedSpan {
-  Phase phase;
-  double begin;
-  double end;
-};
-
-/// Spans on `track` clipped to [lo, hi], empty intervals discarded.
-std::vector<ClippedSpan> ClipTrack(const std::vector<Span>& spans,
-                                   sim::NodeId track, double lo, double hi) {
-  std::vector<ClippedSpan> out;
-  for (const Span& s : spans) {
-    if (s.track != track || !Attributable(s.phase)) continue;
-    const double b = std::max(s.begin, lo);
-    const double e = std::min(s.end, hi);
-    if (e > b) out.push_back(ClippedSpan{s.phase, b, e});
-  }
-  return out;
-}
-
-/// The priority partition of [lo, hi]: sweep the elementary segments
-/// between span boundaries; each segment is charged to the
-/// highest-priority (lowest enum value) phase covering it, or idle.
+// Sweeps the elementary segments between span boundaries; each segment
+// is charged to the highest-priority (lowest enum value) phase covering
+// it, or idle.
 PhaseBreakdown Partition(const std::vector<ClippedSpan>& spans, double lo,
                          double hi) {
   PhaseBreakdown out;
@@ -78,7 +57,6 @@ PhaseBreakdown Partition(const std::vector<ClippedSpan>& spans, double lo,
   return out;
 }
 
-/// Backward "last-finisher" walk over all workers' spans in [lo, hi].
 IterationCriticalPath WalkCriticalPath(const std::vector<ClippedSpan>& spans,
                                        const std::vector<sim::NodeId>& tracks,
                                        double lo, double hi, int iteration) {
@@ -130,6 +108,23 @@ IterationCriticalPath WalkCriticalPath(const std::vector<ClippedSpan>& spans,
   return out;
 }
 
+}  // namespace internal_attribution
+
+namespace {
+
+using internal_attribution::Attributable;
+using internal_attribution::ClippedSpan;
+
+/// Appends `spans` clipped to [lo, hi] to `out`, empty intervals dropped.
+void Clip(const std::vector<ClippedSpan>& spans, double lo, double hi,
+          std::vector<ClippedSpan>* out) {
+  for (const ClippedSpan& s : spans) {
+    const double b = std::max(s.begin, lo);
+    const double e = std::min(s.end, hi);
+    if (e > b) out->push_back(ClippedSpan{s.phase, b, e});
+  }
+}
+
 }  // namespace
 
 Phase PhaseBreakdown::Dominant() const {
@@ -168,24 +163,36 @@ AttributionReport BuildAttribution(
   for (int w = 0; w < num_workers; ++w) {
     report.workers[static_cast<size_t>(w)].worker = w;
   }
+  std::vector<std::vector<ClippedSpan>> by_track(
+      static_cast<size_t>(num_workers));
+  for (const Span& s : spans) {
+    if (s.track < 0 || s.track >= num_workers || !Attributable(s.phase)) {
+      continue;
+    }
+    by_track[static_cast<size_t>(s.track)].push_back(
+        ClippedSpan{s.phase, s.begin, s.end});
+  }
+  std::vector<ClippedSpan> mine;
   for (size_t it = 0; it < iterations.size(); ++it) {
     const double lo = iterations[it].start;
     const double hi = iterations[it].end;
+    // Worker-major, emission order within a worker: the critical-path
+    // walk keeps the first of exact ties, so this order is part of the
+    // result.
     std::vector<ClippedSpan> all;
     std::vector<sim::NodeId> all_tracks;
     for (int w = 0; w < num_workers; ++w) {
       WorkerAttribution& wa = report.workers[static_cast<size_t>(w)];
-      const std::vector<ClippedSpan> mine = ClipTrack(spans, w, lo, hi);
-      PhaseBreakdown breakdown = Partition(mine, lo, hi);
+      mine.clear();
+      Clip(by_track[static_cast<size_t>(w)], lo, hi, &mine);
+      PhaseBreakdown breakdown = internal_attribution::Partition(mine, lo, hi);
       wa.run.Add(breakdown);
       wa.iterations.push_back(std::move(breakdown));
-      for (const ClippedSpan& s : mine) {
-        all.push_back(s);
-        all_tracks.push_back(w);
-      }
+      all.insert(all.end(), mine.begin(), mine.end());
+      all_tracks.insert(all_tracks.end(), mine.size(), w);
     }
-    report.critical.push_back(
-        WalkCriticalPath(all, all_tracks, lo, hi, static_cast<int>(it)));
+    report.critical.push_back(internal_attribution::WalkCriticalPath(
+        all, all_tracks, lo, hi, static_cast<int>(it)));
   }
   return report;
 }

@@ -72,10 +72,44 @@ struct AttributionReport {
 /// knowing: compute overlapping a sync window counts as compute (the
 /// paper's overlap design), and a collective's internal transfers fold
 /// into its sync span.
+///
+/// Cost: one pass buckets the attributable spans of tracks
+/// [0, num_workers) by track, in emission order; each iteration then
+/// clips only each worker's own bucket — O(S + I * sum of per-track
+/// spans) rather than a scan of every span per (iteration, worker).
 AttributionReport BuildAttribution(
     const std::string& engine, int num_workers,
     const std::vector<Span>& spans,
     const std::vector<runtime::IterationStats>& iterations);
+
+/// The building blocks BuildAttribution shares with the test-only
+/// reference (testing::ReferenceBuildAttribution). Not for other callers.
+namespace internal_attribution {
+
+/// Only phases before kIteration are attributable activity; kIteration
+/// is framing and kIdle is derived, never recorded.
+bool Attributable(Phase phase);
+
+/// A span clipped to an iteration window.
+struct ClippedSpan {
+  Phase phase;
+  double begin;
+  double end;
+};
+
+/// The priority partition of [lo, hi] over one worker's clipped spans.
+PhaseBreakdown Partition(const std::vector<ClippedSpan>& spans, double lo,
+                         double hi);
+
+/// Backward "last-finisher" walk over all workers' clipped spans in
+/// [lo, hi]; `tracks` is parallel to `spans`. Exact ties keep the first
+/// span in `spans` order, so callers must pass them worker-major, each
+/// worker's spans in emission order.
+IterationCriticalPath WalkCriticalPath(const std::vector<ClippedSpan>& spans,
+                                       const std::vector<sim::NodeId>& tracks,
+                                       double lo, double hi, int iteration);
+
+}  // namespace internal_attribution
 
 /// Machine-readable form: engine, per-worker run fractions, per-worker
 /// per-iteration fractions, per-iteration critical path + bottleneck.

@@ -1,9 +1,9 @@
 #include "sim/chrome_trace.h"
 
 #include <algorithm>
-#include <set>
-#include <utility>
+#include <string_view>
 
+#include "common/json.h"
 #include "common/string_util.h"
 
 namespace fela::obs {
@@ -11,103 +11,132 @@ namespace fela::obs {
 namespace {
 
 constexpr double kSecToMicro = 1e6;
+// Reserve estimate: a span event with a detail renders to ~190 bytes.
+constexpr size_t kBytesPerEvent = 192;
 
 std::string TrackName(int track, int num_workers) {
   if (track >= num_workers) return "token-server";
   return common::StrFormat("worker %d", track);
 }
 
-common::Json ThreadNameMeta(int tid, const std::string& name) {
-  common::Json e = common::Json::Object();
-  e.Set("name", "thread_name");
-  e.Set("ph", "M");
-  e.Set("pid", 0);
-  e.Set("tid", tid);
-  common::Json args = common::Json::Object();
-  args.Set("name", name);
-  e.Set("args", std::move(args));
-  return e;
-}
-
 }  // namespace
 
-common::Json ChromeTraceJsonData(const std::vector<Span>& spans,
-                                 uint64_t spans_dropped, bool has_trace,
-                                 const std::vector<sim::TraceEvent>& events,
-                                 uint64_t events_dropped, int num_workers,
-                                 const common::TokenRegistry* registry) {
-  common::Json out_events = common::Json::Array();
+// The document is written in the exact layout of common::Json::Dump(1):
+// one space of indent per level, `"key": value`, one member per line,
+// "{}" for empty args. Each traceEvents element is an object at depth 2,
+// its members at depth 3 and its args' members at depth 4, so the
+// literals below carry the separators and indents along with the keys.
+std::string ChromeTraceStringData(const std::vector<Span>& spans,
+                                  uint64_t spans_dropped, bool has_trace,
+                                  const std::vector<sim::TraceEvent>& events,
+                                  uint64_t events_dropped, int num_workers,
+                                  const common::TokenRegistry* registry) {
+  std::string out;
+  out.reserve(kBytesPerEvent * (spans.size() + events.size() +
+                                static_cast<size_t>(std::max(0, num_workers))) +
+              256);
+  const auto put_number = [&out](double n) {
+    common::AppendJsonNumber(&out, n);
+  };
+  const auto put_string = [&out](std::string_view s) {
+    common::AppendJsonString(&out, s);
+  };
+  bool first_event = true;
+  // Opens the next traceEvents element, up to its "name" value.
+  const auto begin_event = [&] {
+    out += first_event ? "\n  {\n   \"name\": " : ",\n  {\n   \"name\": ";
+    first_event = false;
+  };
+
+  out += "{\n \"displayTimeUnit\": \"ms\",\n \"traceEvents\": [";
 
   // One metadata row per track that actually appears, so empty clusters
   // don't fabricate threads but every used tid is named.
-  std::set<int> tracks;
-  for (int w = 0; w < num_workers; ++w) tracks.insert(w);
-  for (const Span& s : spans) tracks.insert(s.track);
+  std::vector<int> tracks;
+  for (int w = 0; w < num_workers; ++w) tracks.push_back(w);
+  for (const Span& s : spans) {
+    if (s.track < 0 || s.track >= num_workers) tracks.push_back(s.track);
+  }
+  std::sort(tracks.begin(), tracks.end());
+  tracks.erase(std::unique(tracks.begin(), tracks.end()), tracks.end());
   for (const int t : tracks) {
-    out_events.Append(ThreadNameMeta(t, TrackName(t, num_workers)));
+    begin_event();
+    out += "\"thread_name\",\n   \"ph\": \"M\",\n   \"pid\": 0,\n   \"tid\": ";
+    put_number(t);
+    out += ",\n   \"args\": {\n    \"name\": ";
+    put_string(TrackName(t, num_workers));
+    out += "\n   }\n  }";
   }
 
   for (const Span& s : spans) {
-    common::Json e = common::Json::Object();
-    e.Set("name", PhaseName(s.phase));
-    e.Set("cat", "span");
-    e.Set("ph", "X");
-    e.Set("ts", s.begin * kSecToMicro);
-    e.Set("dur", std::max(0.0, s.duration()) * kSecToMicro);
-    e.Set("pid", 0);
-    e.Set("tid", s.track);
-    common::Json args = common::Json::Object();
-    if (s.iteration >= 0) args.Set("iteration", s.iteration);
-    if (!s.detail.empty()) {
-      args.Set("detail", common::Detokenize(s.detail, registry));
+    begin_event();
+    put_string(PhaseName(s.phase));
+    out += ",\n   \"cat\": \"span\",\n   \"ph\": \"X\",\n   \"ts\": ";
+    put_number(s.begin * kSecToMicro);
+    out += ",\n   \"dur\": ";
+    put_number(std::max(0.0, s.duration()) * kSecToMicro);
+    out += ",\n   \"pid\": 0,\n   \"tid\": ";
+    put_number(s.track);
+    out += ",\n   \"args\": ";
+    if (s.iteration < 0 && s.detail.empty()) {
+      out += "{}";
+    } else {
+      out += "{\n    ";
+      if (s.iteration >= 0) {
+        out += "\"iteration\": ";
+        put_number(s.iteration);
+        if (!s.detail.empty()) out += ",\n    ";
+      }
+      if (!s.detail.empty()) {
+        out += "\"detail\": ";
+        put_string(common::Detokenize(s.detail, registry));
+      }
+      out += "\n   }";
     }
-    e.Set("args", std::move(args));
-    out_events.Append(std::move(e));
+    out += "\n  }";
   }
 
   if (has_trace) {
     for (const sim::TraceEvent& t : events) {
-      common::Json e = common::Json::Object();
-      e.Set("name", sim::TraceKindName(t.kind));
-      e.Set("cat", "event");
-      e.Set("ph", "i");
-      e.Set("ts", t.time * kSecToMicro);
-      e.Set("pid", 0);
-      e.Set("tid", t.node);
-      e.Set("s", "t");  // thread-scoped instant marker
-      common::Json args = common::Json::Object();
-      if (!t.detail.empty()) args.Set("detail", t.detail);
-      e.Set("args", std::move(args));
-      out_events.Append(std::move(e));
+      begin_event();
+      put_string(sim::TraceKindName(t.kind));
+      out += ",\n   \"cat\": \"event\",\n   \"ph\": \"i\",\n   \"ts\": ";
+      put_number(t.time * kSecToMicro);
+      out += ",\n   \"pid\": 0,\n   \"tid\": ";
+      put_number(t.node);
+      // "s": "t" makes it a thread-scoped instant marker.
+      out += ",\n   \"s\": \"t\",\n   \"args\": ";
+      if (t.detail.empty()) {
+        out += "{}";
+      } else {
+        out += "{\n    \"detail\": ";
+        put_string(t.detail);
+        out += "\n   }";
+      }
+      out += "\n  }";
     }
   }
 
-  common::Json doc = common::Json::Object();
-  doc.Set("displayTimeUnit", "ms");
-  doc.Set("traceEvents", std::move(out_events));
-  common::Json meta = common::Json::Object();
-  meta.Set("num_workers", num_workers);
-  meta.Set("spans_dropped", static_cast<double>(spans_dropped));
+  out += first_event ? "]" : "\n ]";
+  out += ",\n \"otherData\": {\n  \"num_workers\": ";
+  put_number(num_workers);
+  out += ",\n  \"spans_dropped\": ";
+  put_number(static_cast<double>(spans_dropped));
   if (has_trace) {
-    meta.Set("trace_events_dropped", static_cast<double>(events_dropped));
+    out += ",\n  \"trace_events_dropped\": ";
+    put_number(static_cast<double>(events_dropped));
   }
-  doc.Set("otherData", std::move(meta));
-  return doc;
-}
-
-common::Json ChromeTraceJson(const SpanSink& spans,
-                             const sim::TraceRecorder* trace,
-                             int num_workers) {
-  return ChromeTraceJsonData(
-      spans.spans(), spans.dropped(), trace != nullptr,
-      trace != nullptr ? trace->events() : std::vector<sim::TraceEvent>{},
-      trace != nullptr ? trace->dropped() : 0, num_workers);
+  out += "\n }\n}";
+  return out;
 }
 
 std::string ChromeTraceString(const SpanSink& spans,
                               const sim::TraceRecorder* trace,
                               int num_workers) {
-  return ChromeTraceJson(spans, trace, num_workers).Dump(1);
+  return ChromeTraceStringData(
+      spans.spans(), spans.dropped(), trace != nullptr,
+      trace != nullptr ? trace->events() : std::vector<sim::TraceEvent>{},
+      trace != nullptr ? trace->dropped() : 0, num_workers);
 }
 
 }  // namespace fela::obs

@@ -5,41 +5,39 @@
 #include <string>
 #include <vector>
 
-#include "common/json.h"
 #include "common/tokenize.h"
 #include "sim/span.h"
 #include "sim/trace.h"
 
 namespace fela::obs {
 
-/// Converts a run's spans + trace events into the Chrome trace-event
-/// JSON format, loadable in Perfetto (ui.perfetto.dev) or
-/// chrome://tracing. Layout: pid 0 = the cluster; one tid ("thread")
-/// per worker plus one for the token server / driver (any span track
-/// >= num_workers). Spans become "X" complete events with microsecond
-/// ts/dur; TraceRecorder events become "i" instant markers on their
-/// node's track, so token grants and crashes line up against the
-/// compute/sync intervals they explain.
-common::Json ChromeTraceJson(const SpanSink& spans,
-                             const sim::TraceRecorder* trace, int num_workers);
+/// Renders a run's spans + trace events as Chrome trace-event JSON,
+/// loadable in Perfetto (ui.perfetto.dev) or chrome://tracing. Layout:
+/// pid 0 = the cluster; one tid ("thread") per worker plus one for the
+/// token server / driver (any span track >= num_workers). Spans become
+/// "X" complete events with microsecond ts/dur; TraceRecorder events
+/// become "i" instant markers on their node's track, so token grants and
+/// crashes line up against the compute/sync intervals they explain.
+///
+/// The text is streamed into one string, laid out byte for byte as
+/// common::Json::Dump(1) would lay out the equivalent document (numbers
+/// and strings go through the same AppendJsonNumber/AppendJsonString).
+std::string ChromeTraceString(const SpanSink& spans,
+                              const sim::TraceRecorder* trace,
+                              int num_workers);
 
-/// The same conversion from already-extracted data — what both the live
+/// The same rendering from already-extracted data — what both the live
 /// path above and the offline binary-trace converter (tools/fela-detok)
 /// call, so their outputs are byte-identical. Span details are
 /// detokenized through `registry` (the process-global one when null);
 /// `has_trace` mirrors "was a TraceRecorder attached" (it controls the
 /// trace_events_dropped field even when no events were recorded).
-common::Json ChromeTraceJsonData(const std::vector<Span>& spans,
-                                 uint64_t spans_dropped, bool has_trace,
-                                 const std::vector<sim::TraceEvent>& events,
-                                 uint64_t events_dropped, int num_workers,
-                                 const common::TokenRegistry* registry =
-                                     nullptr);
-
-/// ChromeTraceJson serialized ready to write to a .json file.
-std::string ChromeTraceString(const SpanSink& spans,
-                              const sim::TraceRecorder* trace,
-                              int num_workers);
+std::string ChromeTraceStringData(const std::vector<Span>& spans,
+                                  uint64_t spans_dropped, bool has_trace,
+                                  const std::vector<sim::TraceEvent>& events,
+                                  uint64_t events_dropped, int num_workers,
+                                  const common::TokenRegistry* registry =
+                                      nullptr);
 
 }  // namespace fela::obs
 

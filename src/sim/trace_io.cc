@@ -186,10 +186,9 @@ std::string RenderChromeTrace(const BinaryTraceData& data,
         r.time, r.node, static_cast<sim::TraceKind>(r.kind),
         sim::RenderTraceDetail(r, data.dynamic_details[i], registry)});
   }
-  return ChromeTraceJsonData(data.spans, data.spans_dropped, data.has_trace,
-                             events, data.trace_dropped, data.num_workers,
-                             registry)
-      .Dump(1);
+  return ChromeTraceStringData(data.spans, data.spans_dropped,
+                               data.has_trace, events, data.trace_dropped,
+                               data.num_workers, registry);
 }
 
 }  // namespace fela::obs

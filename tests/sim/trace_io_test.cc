@@ -8,12 +8,20 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/tokenize.h"
+#include "model/zoo.h"
+#include "runtime/experiment.h"
 #include "sim/chrome_trace.h"
+#include "sim/faults.h"
 #include "sim/span.h"
+#include "sim/topology.h"
 #include "sim/trace.h"
+#include "suite/suite.h"
 
 namespace fela::obs {
 namespace {
@@ -87,6 +95,49 @@ TEST(TraceIoTest, OfflineRegistryFromCsvMatchesInProcessRendering) {
   EXPECT_EQ(RenderTraceText(data, &offline), a.trace.ToString());
   EXPECT_EQ(RenderChromeTrace(data, &offline),
             ChromeTraceString(a.spans, &a.trace, 4));
+}
+
+TEST(TraceIoTest, FaultedRackedRunRendersOfflineAsLive) {
+  // The fela-detok --chrome path on a real run: 32 Fela workers in racks
+  // of 8 (one Token Server shard per rack), the TS host crashing and
+  // failing over, and a lossy control plane. The offline registry is
+  // built only from the CSV form, as fela-detok builds it.
+  runtime::ExperimentSpec spec;
+  spec.num_workers = 32;
+  spec.total_batch = 512;
+  spec.iterations = 3;
+  spec.observe = true;
+  spec.calibration.topology = sim::Topology::Racked(
+      /*rack_size=*/8, /*uplink_bandwidth_bytes_per_sec=*/5e9,
+      /*rack_hop_latency_sec=*/5e-6);
+  const runtime::FaultFactory faults = [](int) {
+    std::vector<std::unique_ptr<sim::FaultSchedule>> parts;
+    parts.push_back(std::make_unique<sim::ScriptedCrashes>(
+        std::vector<sim::CrashEvent>{{/*worker=*/0, /*crash_time=*/1.0,
+                                      /*recover_time=*/3.0}}));
+    parts.push_back(std::make_unique<sim::LossyControlPlane>(
+        /*drop_prob=*/0.03, /*dup_prob=*/0.03, /*seed=*/7));
+    return std::make_unique<sim::CompositeFaults>(std::move(parts));
+  };
+  const runtime::ExperimentResult result = runtime::RunExperiment(
+      spec,
+      suite::FelaFactory(model::zoo::GoogLeNet(),
+                         core::FelaConfig::Defaults(3, spec.num_workers)),
+      runtime::NoStragglerFactory(), faults);
+  ASSERT_TRUE(result.observed);
+  EXPECT_GT(result.stats.faults.ts_failovers, 0u);
+  EXPECT_GT(result.stats.faults.control_dropped, 0u);
+
+  BinaryTraceData data;
+  std::string error;
+  ASSERT_TRUE(ParseBinaryTrace(result.binary_trace, &data, &error)) << error;
+  EXPECT_FALSE(data.truncated);
+  EXPECT_EQ(data.num_workers, 32);
+  common::TokenRegistry offline;
+  ASSERT_TRUE(common::LoadTokenDbCsv(
+      common::TokenDbCsv(common::TokenRegistry::Global()), &offline, &error))
+      << error;
+  EXPECT_EQ(RenderChromeTrace(data, &offline), result.chrome_trace);
 }
 
 TEST(TraceIoTest, TruncatedStreamParsesWithEndOfStreamMarker) {

@@ -199,9 +199,10 @@ int main(int argc, char** argv) {
                   common::StrFormat("%.1f", xfers_per_iter),
                   common::StrFormat("%.1f", xrack_per_iter)});
     // Wall-clock rates are machine-specific: stderr only, so stdout
-    // stays byte-identical across machines and --jobs values. The TS
-    // cost column: wall microseconds per simulated event and per grant —
-    // the number the sub-distributor split is meant to flatten.
+    // stays byte-identical across machines and --jobs values. The
+    // run-wall column is the whole run's wall time (Token Server, event
+    // queue, fabric, workers) divided by simulated events and by grants —
+    // not a Token Server cost on its own.
     const double iters_per_sec =
         p.wall_seconds > 0.0 ? iterations / p.wall_seconds : 0.0;
     const double us_per_event =
@@ -212,7 +213,7 @@ int main(int argc, char** argv) {
                      : 0.0;
     std::fprintf(stderr,
                  "wall[%d workers, %d shard(s)]: %.2f iterations/sec "
-                 "(%.3fs for %d); ts-cost %.2f us/event, %.2f us/grant\n",
+                 "(%.3fs for %d); run-wall %.2f us/event, %.2f us/grant\n",
                  workers, p.ts_shards, iters_per_sec, p.wall_seconds,
                  iterations, us_per_event, us_per_grant);
     if (p.ts_shards > 1) {
@@ -260,23 +261,24 @@ int main(int argc, char** argv) {
   }
   std::printf("\nwrote scale_workers.csv\n");
 
-  // The per-grant O(rack_size) gate: with one sub-distributor per rack
-  // the TS work per event must stop growing with P — the monolithic
-  // server's victim scans made 1024 workers ~17x costlier per event than
-  // 256. Wall-clock based, so it only arms on full (non-smoke) runs,
-  // and 4x leaves generous headroom over the ~1-2x a flat per-event
-  // profile shows in practice.
+  // The per-event O(rack_size) gate: with one sub-distributor per rack
+  // the whole-run wall time per event must stop growing with P — the
+  // monolithic server's victim scans made 1024 workers ~17x costlier per
+  // event than 256. Wall-clock based, so it only arms on full
+  // (non-smoke) runs, and 4x leaves generous headroom over the ~1-2x a
+  // flat per-event profile shows in practice.
   if (!opts.smoke && sharded_cost_256 > 0.0 && sharded_cost_1024 > 0.0) {
     const double ratio = sharded_cost_1024 / sharded_cost_256;
     std::fprintf(stderr,
-                 "ts-cost ratio (sharded 1024 vs 256): %.2fx "
+                 "run-wall per-event ratio (sharded 1024 vs 256): %.2fx "
                  "(%.2f vs %.2f us/event)\n",
                  ratio, sharded_cost_1024, sharded_cost_256);
     if (ratio > 4.0) {
       std::fprintf(stderr,
-                   "FAIL: sharded per-event TS cost grew %.2fx from 256 to "
-                   "1024 workers (> 4x): the sub-distributor split is no "
-                   "longer containing the per-grant scan\n",
+                   "FAIL: sharded whole-run wall time per event grew "
+                   "%.2fx from 256 to 1024 workers (> 4x): the "
+                   "sub-distributor split is no longer containing the "
+                   "per-grant scan\n",
                    ratio);
       rc = 1;
     }

@@ -28,7 +28,32 @@ FelaEngine::FelaEngine(runtime::Cluster* cluster, const model::Model& model,
       plan_(BuildPlan(model_, sub_models_, config_, total_batch,
                       cluster->num_workers(),
                       cluster->calibration().bytes_per_scalar)) {
-  ts_ = MakeTokenServer();
+  TokenServer::Callbacks ts_cbs;
+  ts_cbs.deliver_grant = [this](sim::NodeId w, const Grant& g) {
+    DeliverGrant(w, g);
+  };
+  ts_cbs.on_level_complete = [this](int level) { OnLevelComplete(level); };
+  ts_cbs.on_all_levels_complete = [this] { OnAllLevelsComplete(); };
+  ts_cbs.on_reclaim = [this](const Token& token, sim::NodeId from) {
+    FELA_TRACE(&cluster_->trace(), cluster_->simulator().now(),
+               shard_host_[static_cast<size_t>(ts_->ShardOfWorker(from))],
+               sim::TraceKind::kTokenReclaim,
+               FELA_TOK("Token_%lld from=%d attempt=%d"),
+               static_cast<long long>(token.id), from, token.attempt);
+  };
+  // Hierarchical steals only cross shard boundaries their hosts can
+  // currently talk over; absent a fault schedule everything is reachable.
+  ts_cbs.shard_reachable = [this](int from_shard, int to_shard) {
+    if (!monitor_) return true;
+    return !cluster_->faults().Partitioned(
+        cluster_->simulator().now(),
+        shard_host_[static_cast<size_t>(from_shard)],
+        shard_host_[static_cast<size_t>(to_shard)]);
+  };
+  ts_ = std::make_unique<TokenServer>(&cluster_->simulator(),
+                                      &cluster_->calibration(), &plan_,
+                                      &config_, std::move(ts_cbs));
+  ts_->set_span_sink(&cluster_->spans());
   // Per-shard control plane: each sub-distributor is hosted on its
   // lowest member (the root shard lands on worker 0, §III-A) and fails
   // over independently.
@@ -41,7 +66,7 @@ FelaEngine::FelaEngine(runtime::Cluster* cluster, const model::Model& model,
   shard_active_.assign(static_cast<size_t>(num_ts_shards_), true);
   shard_failover_timer_.assign(static_cast<size_t>(num_ts_shards_),
                                sim::kInvalidEventId);
-  shard_lease_cps_.resize(static_cast<size_t>(num_ts_shards_));
+  shard_checkpoints_.resize(static_cast<size_t>(num_ts_shards_));
 
   worker_ctx_.sim = &cluster_->simulator();
   worker_ctx_.fabric = &cluster_->fabric();
@@ -99,36 +124,6 @@ FelaEngine::FelaEngine(runtime::Cluster* cluster, const model::Model& model,
   }
 }
 
-std::unique_ptr<TokenServer> FelaEngine::MakeTokenServer() {
-  TokenServer::Callbacks ts_cbs;
-  ts_cbs.deliver_grant = [this](sim::NodeId w, const Grant& g) {
-    DeliverGrant(w, g);
-  };
-  ts_cbs.on_level_complete = [this](int level) { OnLevelComplete(level); };
-  ts_cbs.on_all_levels_complete = [this] { OnAllLevelsComplete(); };
-  ts_cbs.on_reclaim = [this](const Token& token, sim::NodeId from) {
-    FELA_TRACE(&cluster_->trace(), cluster_->simulator().now(),
-               shard_host_[static_cast<size_t>(ts_->ShardOfWorker(from))],
-               sim::TraceKind::kTokenReclaim,
-               FELA_TOK("Token_%lld from=%d attempt=%d"),
-               static_cast<long long>(token.id), from, token.attempt);
-  };
-  // Hierarchical steals only cross shard boundaries their hosts can
-  // currently talk over; absent a fault schedule everything is reachable.
-  ts_cbs.shard_reachable = [this](int from_shard, int to_shard) {
-    if (!monitor_) return true;
-    return !cluster_->faults().Partitioned(
-        cluster_->simulator().now(),
-        shard_host_[static_cast<size_t>(from_shard)],
-        shard_host_[static_cast<size_t>(to_shard)]);
-  };
-  auto ts = std::make_unique<TokenServer>(&cluster_->simulator(),
-                                          &cluster_->calibration(), &plan_,
-                                          &config_, std::move(ts_cbs));
-  ts->set_span_sink(&cluster_->spans());
-  return ts;
-}
-
 void FelaEngine::OnWorkerCrash(int worker) {
   if (run_complete_) return;
   ++stats_.faults.crashes;
@@ -142,25 +137,13 @@ void FelaEngine::OnWorkerCrash(int worker) {
   // Kill the worker process first (voids its in-flight work), then let
   // the TS reclaim its lease and re-route the token elsewhere.
   workers_[static_cast<size_t>(worker)].OnCrash();
+  // If it hosted its shard, only that shard fences; the rest of the
+  // server keeps granting. The fence silently reclaims the shard's leases
+  // first, so marking the worker down afterwards never fires a reclaim
+  // callback for work the successor incarnation will replay.
   const int s = ts_->ShardOfWorker(worker);
-  if (num_ts_shards_ == 1) {
-    if (worker == shard_host_[0]) {
-      // The TS host died with it: fence the incarnation and fail over.
-      FenceShard(0);
-    } else if (shard_active_[0]) {
-      ts_->SetWorkerDown(worker, true);
-    }
-  } else {
-    // Only the dead host's shard fences; the rest of the server keeps
-    // granting. The fence silently reclaims the shard's leases first, so
-    // marking the worker down afterwards never fires a reclaim callback
-    // for work the successor incarnation will replay.
-    if (worker == shard_host_[static_cast<size_t>(s)] &&
-        shard_active_[static_cast<size_t>(s)]) {
-      FenceShard(s);
-    }
-    ts_->SetWorkerDown(worker, true);
-  }
+  if (worker == shard_host_[static_cast<size_t>(s)]) FenceShard(s);
+  ts_->SetWorkerDown(worker, true);
 }
 
 void FelaEngine::OnWorkerRecover(int worker) {
@@ -204,26 +187,12 @@ void FelaEngine::OnWorkerCut(int worker) {
   // The process is alive (no OnCrash): it keeps computing and retrying;
   // the fabric drops its control messages until the partition heals.
   if (shard_active_[ws]) ts_->SetWorkerDown(worker, true);
-  if (num_ts_shards_ == 1) {
-    // Quorum: if the TS can no longer reach a majority of the up workers
-    // it must yield — the majority side fails over to a standby it can
-    // reach and keeps training while the TS's island parks.
-    int up = 0;
-    int cut_up = 0;
-    for (int i = 0; i < cluster_->num_workers(); ++i) {
-      if (monitor_->IsDown(i)) continue;
-      ++up;
-      if (monitor_->IsCut(i)) ++cut_up;
-    }
-    if (shard_active_[0] && !failing_over_ && 2 * cut_up > up) FenceShard(0);
-    return;
-  }
-  // Sharded quorum is local: a sub-distributor yields only when its own
-  // host can no longer reach a majority of its up members. A partition
-  // that isolates a whole rack (members still with their host) fences
-  // nothing — that rack simply parks until the heal — while a partition
-  // that strands a host away from its members hands the shard to a
-  // standby on the majority side.
+  // Quorum is per shard: a shard's host yields when it can no longer
+  // reach a majority of the shard's up members, and the majority side
+  // fails over to a standby it can reach while the host's island parks.
+  // With one shard that is a majority of the cluster. A partition that
+  // isolates a whole rack (members still with their host) fences nothing
+  // — that rack simply parks until the heal.
   const sim::SimTime now = cluster_->simulator().now();
   const sim::FaultSchedule& faults = cluster_->faults();
   for (int s = 0; s < num_ts_shards_; ++s) {
@@ -249,13 +218,10 @@ void FelaEngine::OnWorkerHeal(int worker) {
   FELA_TRACE(&cluster_->trace(), now, worker, sim::TraceKind::kPartitionHeal,
              FELA_TOK("it=%d anchor=%d"), current_iteration_,
              static_cast<int>(shard_host_[ws]));
+  // A fenced shard's election fails only when every member is down, and
+  // every member coming back up retries it (OnWorkerRecover), so a heal
+  // never finds a shard waiting for a standby.
   if (monitor_->IsDown(worker)) return;  // still crashed; recover re-admits
-  if (num_ts_shards_ > 1 && !shard_active_[ws] &&
-      shard_failover_timer_[ws] == sim::kInvalidEventId) {
-    // The worker's fenced shard found no live standby while partitioned;
-    // this heal provides one.
-    CompleteShardFailover(static_cast<int>(ws));
-  }
   if (shard_active_[ws]) ts_->SetWorkerDown(worker, false);
   recover_pending_[static_cast<size_t>(worker)] = now;
   if (NeedsImmediateReadmit(worker)) {
@@ -294,19 +260,11 @@ void FelaEngine::ReAdmit(int worker) {
 
 void FelaEngine::TakeCheckpoint() {
   if (run_complete_) return;
-  if (num_ts_shards_ == 1) {
-    if (!shard_active_[0]) return;
-    last_checkpoint_ = ts_->MakeCheckpoint();
-    ++stats_.faults.ts_checkpoints;
-    return;
-  }
-  // Sharded: each active sub-distributor snapshots its lease table (its
-  // bucket inventory is root-replicated and survives the host); fenced
-  // shards keep their last pre-fence snapshot for the promotion.
+  // Fenced shards keep their last pre-fence snapshot for the promotion.
   bool any = false;
   for (int s = 0; s < num_ts_shards_; ++s) {
     if (!shard_active_[static_cast<size_t>(s)]) continue;
-    shard_lease_cps_[static_cast<size_t>(s)] = ts_->MakeShardLeaseCheckpoint(s);
+    shard_checkpoints_[static_cast<size_t>(s)] = ts_->MakeCheckpoint(s);
     any = true;
   }
   if (any) ++stats_.faults.ts_checkpoints;
@@ -335,7 +293,6 @@ void FelaEngine::ArmCheckpointTimer() {
   checkpoint_timer_ = cluster_->simulator().Schedule(
       config_.ts_checkpoint_interval_sec, [this] {
         checkpoint_timer_ = sim::kInvalidEventId;
-        if (run_complete_ || !AnyShardActive()) return;
         TakeCheckpoint();
         ArmCheckpointTimer();
       });
@@ -361,19 +318,12 @@ void FelaEngine::FenceShard(int shard) {
   const size_t s = static_cast<size_t>(shard);
   if (!shard_active_[s] || run_complete_) return;
   shard_active_[s] = false;
-  if (num_ts_shards_ == 1) {
-    CancelCheckpointTimer();
-    // Close the incarnation's ledger: live leases die with it and count
-    // as reclaimed, so grants + restored == completions + reclaimed
-    // holds per incarnation. The standby replays the lost work from the
-    // checkpoint.
-    ts_->FinalizeForFailover();
-  } else {
-    // Sharded fence is live-handoff: the shard's leases are reclaimed
-    // into its buckets (root-held inventory) and its closed ledger is
-    // archived now; the rest of the server keeps granting.
-    ts_stats_archive_ += ts_->FenceShard(shard);
-  }
+  // Close the incarnation's ledger: live leases die with it and count as
+  // reclaimed, so grants + restored == completions + reclaimed holds per
+  // incarnation. The other shards keep granting.
+  ts_stats_archive_ += ts_->FenceShard(shard);
+  // With no shard left to snapshot, the promotion re-arms the timer.
+  if (!AnyShardActive()) CancelCheckpointTimer();
   FELA_TRACE(&cluster_->trace(), cluster_->simulator().now(), shard_host_[s],
              sim::TraceKind::kTsFailover, FELA_TOK("fence inc=%d it=%d"),
              shard_inc_[s], current_iteration_);
@@ -393,8 +343,8 @@ void FelaEngine::CompleteShardFailover(int shard) {
   const sim::SimTime now = cluster_->simulator().now();
   const int n = cluster_->num_workers();
   const sim::FaultSchedule& faults = cluster_->faults();
-  // Standby election among the shard's members (the whole cluster when
-  // unsharded): the up member that can reach the most other up members
+  // Standby election among the shard's members (the whole cluster with
+  // one shard): the up member that can reach the most other up members
   // right now (ties -> lowest id). Deterministic, and it lands the new
   // sub-distributor on the majority side of any partition.
   const sim::NodeId mb = ts_->shard_member_begin(shard);
@@ -413,56 +363,8 @@ void FelaEngine::CompleteShardFailover(int shard) {
       best = c;
     }
   }
-  if (best < 0) return;  // no member up: the next recover/heal retries
+  if (best < 0) return;  // no member up: the next recover retries
 
-  if (num_ts_shards_ == 1) {
-    ts_stats_archive_ += ts_->stats();  // archive the fenced incarnation
-    shard_host_[0] = best;
-    ++shard_inc_[0];
-    ts_ = MakeTokenServer();
-    ts_->set_leases_enabled(true);
-    shard_active_[0] = true;
-    ++stats_.faults.ts_failovers;
-    FELA_TRACE(&cluster_->trace(), now, shard_host_[0],
-               sim::TraceKind::kTsFailover,
-               FELA_TOK("promote inc=%d it=%d reach=%d"), shard_inc_[0],
-               current_iteration_, best_score);
-
-    std::vector<bool> down_now(static_cast<size_t>(n), false);
-    for (int w = 0; w < n; ++w) {
-      down_now[static_cast<size_t>(w)] =
-          monitor_->IsDown(w) ||
-          (w != shard_host_[0] && faults.Partitioned(now, w, shard_host_[0]));
-    }
-    if (last_checkpoint_.valid &&
-        last_checkpoint_.iteration == current_iteration_) {
-      ts_->Restore(last_checkpoint_, down_now);
-    } else {
-      // No usable snapshot (the crash raced the very first checkpoint,
-      // or the iteration turned over while fenced): restart the
-      // iteration's token schedule from scratch. Workers re-train it;
-      // reports for old-incarnation tokens are absorbed as duplicates.
-      ts_->BeginIteration(current_iteration_);
-      for (int w = 0; w < n; ++w) {
-        if (down_now[static_cast<size_t>(w)]) ts_->SetWorkerDown(w, true);
-      }
-    }
-    // Re-anchor the partition monitor on the new host: parked workers
-    // the new host can reach heal (and re-admit at the next boundary);
-    // the old host's island parks. The quorum re-check is suppressed — a
-    // *new* schedule transition, not the re-anchoring itself, must
-    // trigger the next fence.
-    failing_over_ = true;
-    monitor_->RefreshCuts();
-    failing_over_ = false;
-    TakeCheckpoint();
-    ArmCheckpointTimer();
-    return;
-  }
-
-  // Sharded promote: the retained root un-fences the shard under a new
-  // incarnation, re-arming the checkpointed leases whose tokens are
-  // still parked in its buckets.
   shard_host_[sidx] = best;
   ++shard_inc_[sidx];
   shard_active_[sidx] = true;
@@ -477,10 +379,13 @@ void FelaEngine::CompleteShardFailover(int shard) {
         monitor_->IsDown(w) ||
         (w != best && faults.Partitioned(now, w, best));
   }
-  ts_->RestoreShard(shard, shard_lease_cps_[sidx], down_now);
+  ts_->RestoreShard(shard, shard_checkpoints_[sidx], down_now);
   if (shard == 0) {
-    // The root's host moved: re-anchor the partition monitor on it (the
-    // sub-distributor shards never anchor the monitor).
+    // The root's host moved: re-anchor the partition monitor on it.
+    // Parked workers the new host can reach heal (and re-admit at the
+    // next boundary); the old host's island parks. The quorum re-check is
+    // suppressed — a *new* schedule transition, not the re-anchoring
+    // itself, must trigger the next fence.
     failing_over_ = true;
     monitor_->RefreshCuts();
     failing_over_ = false;
@@ -534,16 +439,13 @@ void FelaEngine::StartIteration(int iteration) {
       ReAdmit(w);
     }
   }
-  // With one shard, a fenced server cannot turn the iteration over (the
-  // promoted incarnation calls BeginIteration itself); a sharded root is
-  // never destroyed, so the iteration always starts — fenced shards just
-  // hold their freshly minted tokens until their promotion.
-  if (num_ts_shards_ > 1 || shard_active_[0]) {
-    ts_->BeginIteration(iteration);
-    // Boundary checkpoint: a failover early in the iteration restores to
-    // its start instead of replaying the previous one.
-    if (faults_active()) TakeCheckpoint();
-  }
+  // Fenced shards whose inventory survives hold their freshly minted
+  // tokens until their promotion; a fenced one-shard server only records
+  // the iteration, which its promotion restarts.
+  ts_->BeginIteration(iteration);
+  // Boundary checkpoint: a failover early in the iteration restores to
+  // its start instead of replaying the previous one.
+  if (faults_active()) TakeCheckpoint();
   // If the TS is fenced, requests sent now are voided; the workers'
   // retry backoff re-delivers them to the promoted incarnation.
   for (int w = 0; w < cluster_->num_workers(); ++w) {
@@ -632,8 +534,8 @@ TokenServer::Stats FelaEngine::CumulativeTsStats() const {
 std::vector<std::string> FelaEngine::CheckFailoverInvariants() const {
   std::vector<std::string> out;
   const TokenServer::Stats cum = CumulativeTsStats();
-  // Fenced incarnations finalize with zero live leases, so the live
-  // count always belongs to the current server.
+  // A fence closes its shard's ledger with zero live leases, so every
+  // live lease belongs to an active shard's current incarnation.
   const uint64_t live = ts_->outstanding_lease_count();
   if (cum.grants + cum.leases_restored !=
       cum.completions + cum.tokens_reclaimed + live) {

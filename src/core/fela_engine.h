@@ -32,18 +32,20 @@ namespace fela::core {
 /// recovered worker is re-admitted at the next iteration boundary — or
 /// immediately if it is the only survivor.
 ///
-/// The control plane itself is survivable: the TS host is dynamic (it
-/// starts at node 0 but is not pinned there). The active incarnation
-/// checkpoints its distributor state at iteration boundaries and on a
-/// periodic timer; when the TS host crashes — or a partition cuts it off
-/// from the majority of the up workers — the incarnation is fenced
-/// (in-flight messages to it are voided) and, after
-/// ts_failover_timeout_sec, a standby on the best-connected up node
-/// restores from the last checkpoint and re-arms the leases. Workers keep
-/// retrying on their backoff schedule and converge on the new incarnation
-/// without restarting the run. Partition-cut workers park (excluded like
-/// crashed ones, but their processes stay alive) and re-admit when the
-/// partition heals.
+/// The control plane itself is survivable, one Token Server shard at a
+/// time (a one-shard server is simply one shard). Each shard's host is
+/// dynamic: it starts at the shard's lowest member (node 0 for the root)
+/// but is not pinned there. Every active shard checkpoints at iteration
+/// boundaries and on a periodic timer. When a shard's host crashes — or
+/// a partition cuts it off from the majority of the shard's up members —
+/// that shard is fenced (in-flight messages to it are voided) and, after
+/// ts_failover_timeout_sec, a standby on its best-connected up member
+/// restores it from its last checkpoint and re-arms the leases. The
+/// other shards keep granting meanwhile. Workers keep retrying on their
+/// backoff schedule and converge on the new incarnation without
+/// restarting the run. Partition-cut workers park (excluded like crashed
+/// ones, but their processes stay alive) and re-admit when the partition
+/// heals.
 class FelaEngine : public runtime::Engine {
  public:
   /// Partitions the model with the paper's bin partitioner (§IV-A).
@@ -67,9 +69,9 @@ class FelaEngine : public runtime::Engine {
   /// sum over every shard of the current server.
   TokenServer::Stats ts_stats() const { return ts_->stats(); }
   /// Live token server, for post-run invariant probes (the oracles audit
-  /// its ledger through ExperimentSpec::post_run_probe). After a failover
-  /// this is the current incarnation; archived incarnations are folded
-  /// into CumulativeTsStats().
+  /// its ledger through ExperimentSpec::post_run_probe). Its ledgers are
+  /// the current shard incarnations'; fenced incarnations are folded into
+  /// CumulativeTsStats().
   const TokenServer& token_server() const { return *ts_; }
   const FelaWorker& worker(int i) const {
     return workers_[static_cast<size_t>(i)];
@@ -92,7 +94,7 @@ class FelaEngine : public runtime::Engine {
     return shard_active_[static_cast<size_t>(shard)];
   }
   /// Token-server ledger summed over every incarnation: archived stats
-  /// from failed-over servers plus the live one.
+  /// of fenced shard incarnations plus the live ones.
   TokenServer::Stats CumulativeTsStats() const;
   /// Audits token conservation across incarnations: summed over the whole
   /// run, grants + leases_restored == completions + tokens_reclaimed +
@@ -119,12 +121,9 @@ class FelaEngine : public runtime::Engine {
   /// communication-intensive tokens — and deferring it could wedge the
   /// iteration once only those tokens remain.
   bool NeedsImmediateReadmit(int worker) const;
-  /// Makes a fresh TokenServer for the current host/incarnation and
-  /// wires the callbacks (construction and failover share this).
-  std::unique_ptr<TokenServer> MakeTokenServer();
-  /// Snapshots the live TS: the whole server into last_checkpoint_ when
-  /// unsharded, else each active shard's lease table into
-  /// shard_lease_cps_.
+  /// Snapshots every active shard into shard_checkpoints_ (what each
+  /// snapshot holds is the Token Server's call; see
+  /// TokenServer::Checkpoint).
   void TakeCheckpoint();
   /// (Re-)arms the periodic checkpoint timer. Only armed while the fault
   /// schedule still has transitions ahead — once no crash/cut can ever
@@ -135,17 +134,16 @@ class FelaEngine : public runtime::Engine {
   void CancelCheckpointTimer();
   void CancelFailoverTimers();
   /// Fences one shard's active incarnation (its host crashed or lost
-  /// quorum among the shard's members): closes that shard's ledger,
-  /// voids in-flight messages addressed to it, and schedules its
+  /// quorum among the shard's members): archives that shard's closed
+  /// ledger, voids in-flight messages addressed to it, and schedules its
   /// failover after config.ts_failover_timeout_sec. The other shards
-  /// keep granting. With one shard this is exactly the whole-server
-  /// fence.
+  /// keep granting. A fence that leaves no shard active cancels the
+  /// checkpoint timer; the promotion re-arms it.
   void FenceShard(int shard);
-  /// Promotes a standby for one shard: picks the shard member (any up
-  /// worker when unsharded) that can reach the most other members right
-  /// now (ties -> lowest id), restores the shard's checkpoint (or the
-  /// whole-server checkpoint / a fresh iteration when unsharded), and —
-  /// for the root shard — re-anchors the partition monitor. No-op if no
+  /// Promotes a standby for one shard: picks the up member that can
+  /// reach the most other members right now (ties -> lowest id), restores
+  /// the shard from its checkpoint (TokenServer::RestoreShard), and — for
+  /// the root shard — re-anchors the partition monitor. No-op if no
   /// member is up — retried on the next member recover event.
   void CompleteShardFailover(int shard);
   bool AnyShardActive() const;
@@ -158,6 +156,7 @@ class FelaEngine : public runtime::Engine {
   model::LayerCostModel cost_;
   FelaPlan plan_;
 
+  /// Built once; failover restores its shards in place.
   std::unique_ptr<TokenServer> ts_;
   /// Shared by every worker (declared before the arena so it outlives
   /// them); holds the TS callbacks, so it must not move.
@@ -193,11 +192,10 @@ class FelaEngine : public runtime::Engine {
   /// trigger (a standby on a minority island must not instantly re-fence
   /// itself — only a *new* schedule transition may).
   bool failing_over_ = false;
-  /// Whole-server checkpoint (unsharded survivability path only).
-  TokenServer::Checkpoint last_checkpoint_;
-  /// Per-shard lease checkpoints (sharded survivability path only).
-  std::vector<TokenServer::ShardLeaseCheckpoint> shard_lease_cps_;
-  /// Ledgers of finalized (failed-over) incarnations, element-wise summed.
+  /// Last checkpoint of each shard; a fenced shard keeps its pre-fence
+  /// one for the promotion.
+  std::vector<TokenServer::Checkpoint> shard_checkpoints_;
+  /// Ledgers of fenced shard incarnations, element-wise summed.
   TokenServer::Stats ts_stats_archive_;
   sim::EventId checkpoint_timer_ = sim::kInvalidEventId;
 

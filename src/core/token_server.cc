@@ -151,6 +151,7 @@ void TokenServer::NoteBucketTake(int shard, int level) {
 
 void TokenServer::BeginIteration(int iteration) {
   iteration_ = iteration;
+  if (!InventorySurvivesHost() && shard_fenced_[0]) return;
   info_.Reset();
   for (auto& b : stbs_) b.Clear();
   for (auto& avail : shard_level_avail_) {
@@ -382,15 +383,20 @@ std::vector<std::string> TokenServer::CheckInvariants() const {
   return out;
 }
 
-TokenServer::Checkpoint TokenServer::MakeCheckpoint() const {
-  // Whole-server checkpoints are the one-shard survivability path; a
-  // sharded server snapshots per shard (MakeShardLeaseCheckpoint).
-  FELA_CHECK_EQ(num_shards_, 1);
+TokenServer::Checkpoint TokenServer::MakeCheckpoint(int shard) const {
+  const size_t s = static_cast<size_t>(shard);
   Checkpoint cp;
-  cp.valid = true;
-  cp.taken_at = sim_->now();
   cp.iteration = iteration_;
-  cp.next_token_id = shard_next_seq_[0];
+  // The lease map iterates in sorted key order (a flat sorted vector), so
+  // the lease list is deterministic.
+  cp.leases.reserve(shard_leases_[s].size());
+  for (const auto& [id, lease] : shard_leases_[s]) {
+    cp.leases.emplace_back(lease.token, lease.worker);
+  }
+  if (InventorySurvivesHost()) return cp;
+  // Only a one-shard server loses its inventory with its host, so the
+  // shard's snapshot is the whole distributor.
+  cp.next_seq = shard_next_seq_[s];
   cp.all_done_announced = all_done_announced_;
   cp.info = info_;
   cp.buckets.reserve(stbs_.size());
@@ -398,103 +404,10 @@ TokenServer::Checkpoint TokenServer::MakeCheckpoint() const {
   cp.pending = pending_;
   cp.completed_count = completed_count_;
   cp.generated_count = generated_count_;
-  cp.waiters = shard_waiters_[0];
+  cp.waiters = shard_waiters_[s];
   cp.waiting = waiting_;
   cp.helping = helping_;
   cp.helper_count = helper_count_;
-  // The lease map iterates in sorted key order (a flat sorted vector), so
-  // the lease list is deterministic.
-  cp.leases.reserve(shard_leases_[0].size());
-  for (const auto& [id, lease] : shard_leases_[0]) {
-    cp.leases.emplace_back(lease.token, lease.worker);
-  }
-  return cp;
-}
-
-void TokenServer::Restore(const Checkpoint& cp,
-                          const std::vector<bool>& down_now) {
-  FELA_CHECK_EQ(num_shards_, 1);
-  FELA_CHECK(cp.valid);
-  FELA_CHECK(shard_leases_[0].empty()) << "Restore requires a fresh server";
-  shard_restored_[0] = true;
-  iteration_ = cp.iteration;
-  shard_next_seq_[0] = cp.next_token_id;
-  all_done_announced_ = cp.all_done_announced;
-  info_ = cp.info;
-  FELA_CHECK_EQ(cp.buckets.size(), stbs_.size());
-  std::fill(shard_level_avail_[0].begin(), shard_level_avail_[0].end(), 0);
-  std::fill(level_avail_.begin(), level_avail_.end(), 0);
-  for (size_t i = 0; i < stbs_.size(); ++i) {
-    stbs_[i].Clear();
-    for (const Token& t : cp.buckets[i]) {
-      NoteBucketAdd(0, t.level);
-      stbs_[i].Add(t);
-    }
-  }
-  pending_ = cp.pending;
-  completed_count_ = cp.completed_count;
-  generated_count_ = cp.generated_count;
-  shard_waiters_[0] = cp.waiters;
-  waiting_ = cp.waiting;
-  helping_ = cp.helping;
-  helper_count_ = cp.helper_count;
-  shard_lock_free_[0] = 0.0;
-  std::fill(down_.begin(), down_.end(), false);
-  // Replay what the leases imply: the checkpointed holders are presumed
-  // still computing, so their grants stay live with fresh deadlines. A
-  // holder that finished meanwhile reports and completes normally; one
-  // that lost its grant in the failover window goes silent and the
-  // re-armed expiry reclaims the token.
-  const sim::SimTime now = sim_->now();
-  for (const auto& [token, worker] : cp.leases) {
-    const TokenId id = token.id;
-    Lease lease;
-    lease.token = token;
-    lease.worker = worker;
-    if (leases_enabled_) {
-      // fela-lint: allow(untraced-event): expiry traces as kTokenReclaim
-      // when the lease actually fires; re-arming it is silent by design.
-      lease.timer = sim_->ScheduleAt(now + config_->lease_timeout_sec,
-                                     [this, id] { OnLeaseExpired(0, id); });
-    }
-    outstanding_[static_cast<size_t>(worker)] = id;
-    shard_leases_[0][id] = std::move(lease);
-    ++shard_stats_[0].leases_restored;
-  }
-  // Apply the present down/cut picture (reclaims leases of dead holders),
-  // then serve whoever was waiting.
-  for (sim::NodeId w = 0; w < num_workers(); ++w) {
-    if (down_now[static_cast<size_t>(w)]) SetWorkerDown(w, true);
-  }
-  ServeWaiters();
-}
-
-void TokenServer::FinalizeForFailover() {
-  for (int s = 0; s < num_shards_; ++s) {
-    auto& leases = shard_leases_[static_cast<size_t>(s)];
-    for (auto& [id, lease] : leases) {
-      if (lease.timer != sim::kInvalidEventId) sim_->Cancel(lease.timer);
-      outstanding_[static_cast<size_t>(lease.worker)] = kInvalidTokenId;
-      // The work in flight dies with this incarnation; counting it as
-      // reclaimed closes the ledger exactly (no callbacks — the standby
-      // replays from the checkpoint, not from this state).
-      ++shard_stats_[static_cast<size_t>(s)].tokens_reclaimed;
-    }
-    leases.clear();
-  }
-}
-
-TokenServer::ShardLeaseCheckpoint TokenServer::MakeShardLeaseCheckpoint(
-    int shard) const {
-  ShardLeaseCheckpoint cp;
-  cp.valid = true;
-  cp.taken_at = sim_->now();
-  cp.iteration = iteration_;
-  const auto& leases = shard_leases_[static_cast<size_t>(shard)];
-  cp.leases.reserve(leases.size());
-  for (const auto& [id, lease] : leases) {
-    cp.leases.emplace_back(lease.token, lease.worker);
-  }
   return cp;
 }
 
@@ -503,9 +416,8 @@ TokenServer::Stats TokenServer::FenceShard(int shard) {
   FELA_CHECK(!shard_fenced_[s]) << "shard " << shard << " already fenced";
   // Reclaim every live lease into the holder's own bucket: the work in
   // flight dies with the shard host and will be redone under the next
-  // incarnation (helpers can steal it meanwhile is NOT allowed — the
-  // fenced shard neither grants nor donates until RestoreShard, so its
-  // inventory is frozen root-held metadata). No callbacks fire.
+  // incarnation. The fenced shard neither grants nor donates until
+  // RestoreShard, so its inventory stays frozen meanwhile.
   Stats& st = shard_stats_[s];
   for (auto& [id, lease] : shard_leases_[s]) {
     if (lease.timer != sim::kInvalidEventId) sim_->Cancel(lease.timer);
@@ -524,31 +436,79 @@ TokenServer::Stats TokenServer::FenceShard(int shard) {
   return closed;
 }
 
-void TokenServer::RestoreShard(int shard, const ShardLeaseCheckpoint& cp,
+void TokenServer::RestoreShard(int shard, const Checkpoint& cp,
                                const std::vector<bool>& down_now) {
   const size_t s = static_cast<size_t>(shard);
   FELA_CHECK(shard_fenced_[s]) << "RestoreShard of a live shard";
   FELA_CHECK(shard_leases_[s].empty());
+  const sim::NodeId begin = shard_member_begin(shard);
+  const sim::NodeId end = shard_member_end(shard);
+  const bool current = cp.iteration == iteration_;
   shard_fenced_[s] = false;
   shard_restored_[s] = true;
   shard_lock_free_[s] = 0.0;  // the successor's distributor lock starts free
-  const sim::SimTime now = sim_->now();
-  if (cp.valid && cp.iteration == iteration_) {
-    // Re-arm checkpointed leases whose tokens are still parked in the
-    // shard (they were live at the fence and the iteration has not
-    // turned over): the holders are presumed still computing, exactly
-    // like the one-shard Restore. The parked copy (attempt bumped by the
-    // fence) is discarded in favor of the checkpointed token, which
-    // matches the grant the worker actually holds.
-    for (const auto& [token, worker] : cp.leases) {
-      if (down_now[static_cast<size_t>(worker)]) continue;
-      if (outstanding_[static_cast<size_t>(worker)] != kInvalidTokenId) {
-        continue;
+  if (!InventorySurvivesHost()) {
+    // The inventory died with the host: rebuild the (whole-distributor)
+    // shard in place, as a freshly started server would see it.
+    for (sim::NodeId w = begin; w < end; ++w) {
+      down_[static_cast<size_t>(w)] = false;
+    }
+    if (current) {
+      shard_next_seq_[s] = cp.next_seq;
+      all_done_announced_ = cp.all_done_announced;
+      info_ = cp.info;
+      FELA_CHECK_EQ(cp.buckets.size(), stbs_.size());
+      std::fill(shard_level_avail_[s].begin(), shard_level_avail_[s].end(),
+                0);
+      std::fill(level_avail_.begin(), level_avail_.end(), 0);
+      for (size_t i = 0; i < stbs_.size(); ++i) {
+        stbs_[i].Clear();
+        for (const Token& t : cp.buckets[i]) {
+          NoteBucketAdd(shard, t.level);
+          stbs_[i].Add(t);
+        }
       }
-      std::optional<Token> parked =
-          stbs_[BucketIndexFor(worker)].TakeById(token.id);
-      if (!parked.has_value()) continue;
-      NoteBucketTake(shard, parked->level);
+      pending_ = cp.pending;
+      completed_count_ = cp.completed_count;
+      generated_count_ = cp.generated_count;
+      shard_waiters_[s] = cp.waiters;
+      waiting_ = cp.waiting;
+      helping_ = cp.helping;
+      helper_count_ = cp.helper_count;
+    } else {
+      // No snapshot of this iteration (the fence raced the first
+      // checkpoint, or the iteration turned over while fenced): restart
+      // the iteration's token schedule. Workers re-train it; reports for
+      // old-incarnation tokens are absorbed as duplicates.
+      shard_waiters_[s].clear();
+      std::fill(waiting_.begin(), waiting_.end(), false);
+      shard_next_seq_[s] = 0;
+      shard_restored_[s] = false;
+      BeginIteration(iteration_);
+    }
+  }
+  // Replay what the leases imply: the checkpointed holders are presumed
+  // still computing, so their grants stay live with fresh deadlines. A
+  // holder that finished meanwhile reports and completes normally; one
+  // that lost its grant in the failover window goes silent and the
+  // re-armed expiry reclaims the token.
+  const sim::SimTime now = sim_->now();
+  // A checkpoint from an earlier iteration holds no lease to replay.
+  if (current) {
+    for (const auto& [token, worker] : cp.leases) {
+      if (InventorySurvivesHost()) {
+        // Only leases whose tokens the fence parked in the shard and whose
+        // holders can still finish them; the parked copy (attempt bumped)
+        // gives way to the checkpointed token the worker actually holds.
+        if (down_now[static_cast<size_t>(worker)] ||
+            outstanding_[static_cast<size_t>(worker)] != kInvalidTokenId) {
+          continue;
+        }
+        std::optional<Token> parked =
+            stbs_[BucketIndexFor(worker)].TakeById(token.id);
+        if (!parked.has_value()) continue;
+        NoteBucketTake(shard, parked->level);
+      }
       const TokenId id = token.id;
       Lease lease;
       lease.token = token;
@@ -566,11 +526,11 @@ void TokenServer::RestoreShard(int shard, const ShardLeaseCheckpoint& cp,
       ++shard_stats_[s].leases_restored;
     }
   }
-  // Apply the present down/cut picture of the shard's members in BOTH
-  // directions: the retained root may carry member state from before the
-  // fence (a member that crashed and recovered while the shard was dark).
-  for (sim::NodeId w = shard_member_begin(shard); w < shard_member_end(shard);
-       ++w) {
+  // Apply the present down/cut picture of the shard's members in both
+  // directions (a surviving inventory may carry member state from before
+  // the fence), reclaiming restored leases of dead holders, then serve
+  // whoever was waiting.
+  for (sim::NodeId w = begin; w < end; ++w) {
     SetWorkerDown(w, down_now[static_cast<size_t>(w)]);
   }
   ServeWaiters();

@@ -74,7 +74,10 @@ struct Grant {
 /// per-shard level counts) and the donor runs its local victim search —
 /// no code path scans all P workers. With one shard (any flat topology)
 /// every path degenerates to the original single server and transcripts
-/// are byte-identical to it.
+/// are byte-identical to it. Survivability is per shard as well
+/// (MakeCheckpoint / FenceShard / RestoreShard); the one difference
+/// between one shard and several is whether a shard's inventory survives
+/// its host (InventorySurvivesHost).
 class FELA_THREAD_HOSTILE TokenServer {
  public:
   struct Callbacks {
@@ -137,19 +140,19 @@ class FELA_THREAD_HOSTILE TokenServer {
     bool operator==(const Stats& other) const = default;
   };
 
-  /// A deterministic snapshot of everything a standby needs to resume
-  /// this incarnation's work mid-iteration: the per-level plan progress,
-  /// the bucket / pending-pool repository, the wait queue, and the live
-  /// leases (re-armed with fresh deadlines on restore). Statistics are
-  /// deliberately NOT captured: each incarnation keeps its own ledger
-  /// and the engine archives them across failovers. Whole-server
-  /// checkpoints only exist on a one-shard server; a sharded server
-  /// checkpoints per shard (see ShardLeaseCheckpoint).
+  /// One shard's checkpoint: its live leases as (token, holder), re-armed
+  /// with fresh deadlines on restore. When the shard's bucket inventory
+  /// dies with its host (see InventorySurvivesHost) the checkpoint also
+  /// carries the distributor snapshot a standby rebuilds the shard from:
+  /// the mint sequence, info mapping, buckets, completion pools, per-level
+  /// counts, wait queue and helper assignments. Otherwise those fields
+  /// stay empty. Statistics are deliberately NOT captured: each
+  /// incarnation keeps its own ledger, and FenceShard hands it to the
+  /// engine to archive.
   struct Checkpoint {
-    bool valid = false;
-    sim::SimTime taken_at = 0.0;
-    int iteration = -1;
-    TokenId next_token_id = 0;
+    int iteration = -1;  // -1: no checkpoint taken yet
+    std::vector<std::pair<Token, sim::NodeId>> leases;
+    TokenId next_seq = 0;
     bool all_done_announced = false;
     InfoMapping info;
     std::vector<std::vector<Token>> buckets;  // one per STB, ordered
@@ -160,21 +163,6 @@ class FELA_THREAD_HOSTILE TokenServer {
     std::vector<bool> waiting;
     std::vector<sim::NodeId> helping;
     std::vector<int> helper_count;
-    /// Live leases as (token, holder); timers are re-armed on restore.
-    std::vector<std::pair<Token, sim::NodeId>> leases;
-  };
-
-  /// The per-shard checkpoint of a sharded server. The shard's bucket
-  /// inventory is root-replicated metadata that survives a shard-host
-  /// crash, so only the lease table is checkpoint-bound: leases present
-  /// here when the shard is fenced are re-armed on restore
-  /// (leases_restored); leases granted after the snapshot die with the
-  /// incarnation and are reclaimed into the shard's buckets.
-  struct ShardLeaseCheckpoint {
-    bool valid = false;
-    sim::SimTime taken_at = 0.0;
-    int iteration = -1;
-    std::vector<std::pair<Token, sim::NodeId>> leases;
   };
 
   TokenServer(sim::Simulator* sim, const sim::Calibration* cal,
@@ -185,7 +173,9 @@ class FELA_THREAD_HOSTILE TokenServer {
 
   /// Resets per-iteration state, creates the iteration's T-1 tokens
   /// (round-robin across STBs / sample shards), and serves any waiters
-  /// whose requests arrived before the iteration turned over.
+  /// whose requests arrived before the iteration turned over. A fenced
+  /// server whose inventory died with its host only records the
+  /// iteration: its RestoreShard restarts it.
   void BeginIteration(int iteration);
 
   /// A token request from `worker` has arrived at the TS.
@@ -210,26 +200,6 @@ class FELA_THREAD_HOSTILE TokenServer {
   /// leaves no dangling events in the simulator queue).
   void CancelAllLeases();
 
-  /// Captures the full distributor state for failover (see Checkpoint).
-  /// Only meaningful on a one-shard server; sharded servers checkpoint
-  /// per shard via MakeShardLeaseCheckpoint.
-  Checkpoint MakeCheckpoint() const;
-
-  /// Rebuilds this (freshly constructed) server from a checkpoint: state
-  /// is restored verbatim, restored leases get fresh deadlines
-  /// (now + lease_timeout_sec) and re-armed expiry timers, workers in
-  /// `down_now` are marked down (reclaiming their restored leases), and
-  /// waiters are re-served. Counted in stats as leases_restored so the
-  /// per-incarnation conservation identity stays exact.
-  void Restore(const Checkpoint& cp, const std::vector<bool>& down_now);
-
-  /// Fences a failed incarnation: cancels every lease timer and counts
-  /// the live leases as reclaimed — the work dies with the incarnation
-  /// and will be replayed by the standby — so this incarnation's ledger
-  /// closes balanced (grants + restored == completions + reclaimed).
-  /// No callbacks fire; the object must receive no messages afterwards.
-  void FinalizeForFailover();
-
   // -- Per-shard topology and survivability -------------------------------
 
   int num_shards() const { return num_shards_; }
@@ -244,28 +214,29 @@ class FELA_THREAD_HOSTILE TokenServer {
     return std::min(static_cast<sim::NodeId>((shard + 1) * shard_block_),
                     static_cast<sim::NodeId>(num_workers()));
   }
-  bool shard_fenced(int shard) const {
-    return shard_fenced_[static_cast<size_t>(shard)];
-  }
 
-  /// Snapshots one shard's live lease table (see ShardLeaseCheckpoint).
-  ShardLeaseCheckpoint MakeShardLeaseCheckpoint(int shard) const;
+  /// Snapshots one shard (see Checkpoint).
+  Checkpoint MakeCheckpoint(int shard) const;
 
-  /// Fences one shard of a sharded server: every live lease is reclaimed
-  /// into the shard's own buckets (attempt bumped — the work in flight
-  /// dies with the shard host), the shard stops granting and donating,
-  /// and its closed ledger is returned (and reset for the successor
-  /// incarnation). The closed ledger balances: grants + restored ==
-  /// completions + reclaimed, live == 0.
+  /// Fences one shard: every live lease is reclaimed into the shard's own
+  /// buckets (attempt bumped — the work in flight dies with the shard
+  /// host), the shard stops granting and donating, and its closed ledger
+  /// is returned (and reset for the successor incarnation). The closed
+  /// ledger balances: grants + restored == completions + reclaimed,
+  /// live == 0. No callbacks fire.
   Stats FenceShard(int shard);
 
-  /// Un-fences a shard under a new incarnation: checkpointed leases whose
-  /// tokens are still parked in the shard's buckets (i.e. were live when
-  /// the shard was fenced and the iteration has not turned over) are
-  /// re-armed with fresh deadlines and counted as leases_restored; the
-  /// present down/cut picture of the shard's members is applied; waiters
-  /// are re-served.
-  void RestoreShard(int shard, const ShardLeaseCheckpoint& cp,
+  /// Un-fences a shard under a new incarnation. A shard whose inventory
+  /// died with its host is first rebuilt in place: from the checkpoint's
+  /// snapshot when it is of the current iteration, else by restarting
+  /// the iteration from scratch as a fresh server would (mint sequence
+  /// at 0, no waiters). Then, if the checkpoint is of the current
+  /// iteration, its leases are re-armed with fresh deadlines and counted
+  /// as leases_restored — on a shard whose inventory survived, only those
+  /// whose tokens are still parked in its buckets and whose holders are
+  /// up. Finally the present down/cut picture of the shard's members is
+  /// applied and waiters are re-served.
+  void RestoreShard(int shard, const Checkpoint& cp,
                     const std::vector<bool>& down_now);
 
   /// Enables distributor-lock observability: every serialized pass
@@ -325,6 +296,13 @@ class FELA_THREAD_HOSTILE TokenServer {
     return hf() ? static_cast<size_t>(reporter)
                 : static_cast<size_t>(ShardOfWorker(reporter));
   }
+
+  /// Whether a shard's bucket inventory survives its host. With several
+  /// shards the root keeps every shard's buckets, so a fence loses only
+  /// the shard's leases. A one-shard server is its own root: its
+  /// inventory, and with it the whole distributor state, dies with its
+  /// host and must come back from the checkpoint.
+  bool InventorySurvivesHost() const { return num_shards_ > 1; }
 
   /// Tries to grant a token to `worker`; delivers via callback on
   /// success.
@@ -428,8 +406,8 @@ class FELA_THREAD_HOSTILE TokenServer {
   std::vector<TokenId> outstanding_;  // live grant per worker, or invalid
   std::vector<bool> down_;
   bool leases_enabled_ = false;
-  /// Shard incarnation was rebuilt from a checkpoint. Checkpointed
-  /// bucket tokens keep their attempt counters, so a restored
+  /// Shard incarnation was restored from a checkpoint. Its bucket
+  /// tokens keep their attempt counters, so a restored
   /// incarnation may regrant tokens whose reclaim a *previous*
   /// incarnation counted — CheckInvariants relaxes regrants <= reclaimed
   /// for it.
@@ -439,8 +417,9 @@ class FELA_THREAD_HOSTILE TokenServer {
   /// by the *donor* shard, so the per-shard regrants <= reclaimed bound
   /// must credit these migrated-in tokens to stay sound.
   std::vector<uint64_t> migrated_reclaims_in_;
-  /// Fenced shards neither grant nor donate; their buckets keep
-  /// accumulating (root-held inventory) until RestoreShard.
+  /// Fenced shards neither grant nor donate. A fenced shard whose
+  /// inventory survives keeps accumulating tokens in its buckets until
+  /// RestoreShard.
   std::vector<bool> shard_fenced_;
   std::vector<sim::NodeId> helping_;     // helping_[w] = victim or -1
   std::vector<int> helper_count_;        // helpers currently aiding worker v

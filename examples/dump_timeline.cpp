@@ -7,11 +7,10 @@
 //   ./build/examples/dump_timeline [out.json]      # default fela_timeline.json
 //
 // Alongside the JSON it writes the compact FELATRB1 binary transcript
-// (<out>.bin) — tools/fela-detok reconstructs the same JSON (or the
-// text timeline) from it offline:
+// (<out>.bin) with the formats of its tokens appended, so tools/fela-detok
+// reconstructs the same JSON (or the text timeline) from that file alone:
 //
-//   ./build/tools/fela-detok --tokens=tools/tokens.csv --chrome
-//       fela_timeline.json.bin       (one command line)
+//   ./build/tools/fela-detok --chrome fela_timeline.json.bin
 //
 // Also prints the per-worker attribution table and metrics CSV so the
 // numbers behind the picture are on stdout.
@@ -23,6 +22,7 @@
 
 #include "model/zoo.h"
 #include "runtime/report.h"
+#include "sim/trace_io.h"
 #include "suite/suite.h"
 
 int main(int argc, char** argv) {
@@ -54,13 +54,20 @@ int main(int argc, char** argv) {
   out << result.chrome_trace;
   out.close();
 
+  std::string transcript = result.binary_trace;
+  std::string error;
+  if (!obs::AppendTokenTable(&transcript, &error)) {
+    std::fprintf(stderr, "cannot build the token table: %s\n",
+                 error.c_str());
+    return 1;
+  }
   const std::string bin_path = path + ".bin";
   std::ofstream bin(bin_path, std::ios::trunc | std::ios::binary);
   if (!bin) {
     std::fprintf(stderr, "cannot write %s\n", bin_path.c_str());
     return 1;
   }
-  bin << result.binary_trace;
+  bin << transcript;
   bin.close();
 
   std::printf("engine: %s  iterations: %d  AT: %.1f samples/s\n",

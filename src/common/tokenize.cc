@@ -1,6 +1,5 @@
 #include "common/tokenize.h"
 
-#include <cctype>
 #include <cstdio>
 
 #include "common/logging.h"
@@ -8,6 +7,12 @@
 
 namespace fela::common {
 namespace {
+
+using internal_tokenize::IsDigit;
+using internal_tokenize::IsFlag;
+using internal_tokenize::IsFloatConv;
+using internal_tokenize::IsIntegerConv;
+using internal_tokenize::IsLengthMod;
 
 /// Runs one complete printf spec against one value. The spec is built
 /// here from vetted pieces, never from user input.
@@ -24,20 +29,6 @@ void AppendOne(std::string* out, const std::string& spec, T value) {
   std::snprintf(big.data(), big.size(), spec.c_str(), value);
   big.resize(static_cast<size_t>(n));
   out->append(big);
-}
-
-bool IsIntegerConv(char c) {
-  return c == 'd' || c == 'i' || c == 'u' || c == 'o' || c == 'x' ||
-         c == 'X' || c == 'c';
-}
-
-bool IsFloatConv(char c) {
-  return c == 'f' || c == 'F' || c == 'e' || c == 'E' || c == 'g' ||
-         c == 'G' || c == 'a' || c == 'A';
-}
-
-bool IsLengthMod(char c) {
-  return c == 'l' || c == 'h' || c == 'z' || c == 'j' || c == 't' || c == 'L';
 }
 
 }  // namespace
@@ -64,21 +55,11 @@ std::string DetokFormat(const std::string& fmt, const TokArgs& args) {
     // could hold).
     size_t j = i + 1;
     std::string flags_width;
-    while (j < fmt.size() && (fmt[j] == '-' || fmt[j] == '+' ||
-                              fmt[j] == ' ' || fmt[j] == '#' ||
-                              fmt[j] == '0')) {
-      flags_width += fmt[j++];
-    }
-    while (j < fmt.size() &&
-           std::isdigit(static_cast<unsigned char>(fmt[j])) != 0) {
-      flags_width += fmt[j++];
-    }
+    while (j < fmt.size() && IsFlag(fmt[j])) flags_width += fmt[j++];
+    while (j < fmt.size() && IsDigit(fmt[j])) flags_width += fmt[j++];
     if (j < fmt.size() && fmt[j] == '.') {
       flags_width += fmt[j++];
-      while (j < fmt.size() &&
-             std::isdigit(static_cast<unsigned char>(fmt[j])) != 0) {
-        flags_width += fmt[j++];
-      }
+      while (j < fmt.size() && IsDigit(fmt[j])) flags_width += fmt[j++];
     }
     while (j < fmt.size() && IsLengthMod(fmt[j])) ++j;
     if (j >= fmt.size()) {
@@ -151,16 +132,6 @@ const std::string* TokenRegistry::Find(uint32_t token) const {
   return it == entries_.end() ? nullptr : &it->second;
 }
 
-std::vector<std::pair<uint32_t, std::string>> TokenRegistry::Entries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return {entries_.begin(), entries_.end()};
-}
-
-size_t TokenRegistry::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return entries_.size();
-}
-
 TokenRegistry& TokenRegistry::Global() {
   static TokenRegistry* registry = new TokenRegistry();
   return *registry;
@@ -174,91 +145,6 @@ std::string Detokenize(const TokenizedDetail& detail,
   const std::string* fmt = reg.Find(detail.token);
   if (fmt == nullptr) return StrFormat("<token %08x?>", detail.token);
   return DetokFormat(*fmt, detail.args);
-}
-
-std::string TokenDbCsv(const TokenRegistry& registry) {
-  std::string out = "token,fmt\n";
-  for (const auto& [token, fmt] : registry.Entries()) {
-    out += StrFormat("%08x,\"", token);
-    for (const char c : fmt) {
-      out += c;
-      if (c == '"') out += '"';  // CSV quote doubling
-    }
-    out += "\"\n";
-  }
-  return out;
-}
-
-bool LoadTokenDbCsv(std::string_view csv, TokenRegistry* registry,
-                    std::string* error) {
-  size_t i = 0;
-  size_t line = 1;
-  auto fail = [&](const char* msg) {
-    if (error != nullptr) *error = StrFormat("tokens csv line %zu: %s", line,
-                                             msg);
-    return false;
-  };
-  while (i < csv.size()) {
-    if (csv[i] == '\n') {  // blank line
-      ++i;
-      ++line;
-      continue;
-    }
-    // Token field: hex digits up to ','; the header row says "token".
-    const size_t comma = csv.find(',', i);
-    if (comma == std::string_view::npos) return fail("missing ','");
-    const std::string_view field = csv.substr(i, comma - i);
-    if (field == "token") {
-      const size_t eol = csv.find('\n', comma);
-      if (eol == std::string_view::npos) return true;  // header only
-      i = eol + 1;
-      ++line;
-      continue;
-    }
-    uint32_t token = 0;
-    if (field.empty() || field.size() > 8) return fail("bad token field");
-    for (const char c : field) {
-      const int d = std::isdigit(static_cast<unsigned char>(c)) != 0
-                        ? c - '0'
-                        : (c >= 'a' && c <= 'f' ? c - 'a' + 10 : -1);
-      if (d < 0) return fail("bad hex digit in token field");
-      token = token * 16 + static_cast<uint32_t>(d);
-    }
-    size_t p = comma + 1;
-    if (p >= csv.size() || csv[p] != '"') return fail("format not quoted");
-    ++p;
-    std::string fmt;
-    bool closed = false;
-    while (p < csv.size()) {
-      const char c = csv[p];
-      if (c == '"') {
-        if (p + 1 < csv.size() && csv[p + 1] == '"') {
-          fmt += '"';
-          p += 2;
-          continue;
-        }
-        ++p;
-        closed = true;
-        break;
-      }
-      if (c == '\n') ++line;
-      fmt += c;
-      ++p;
-    }
-    if (!closed) return fail("unterminated quoted format");
-    if (p < csv.size()) {
-      if (csv[p] != '\n') return fail("trailing bytes after quoted format");
-      ++p;
-      ++line;
-    }
-    std::string reg_error;
-    if (!registry->Register(token, fmt, &reg_error)) {
-      if (error != nullptr) *error = reg_error;
-      return false;
-    }
-    i = p;
-  }
-  return true;
 }
 
 namespace internal_tokenize {

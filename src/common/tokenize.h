@@ -8,8 +8,6 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
-#include <utility>
-#include <vector>
 
 #include "common/annotations.h"
 
@@ -20,8 +18,9 @@ namespace fela::common {
 /// the call site stores only {token, packed args} — a handful of raw
 /// stores instead of an StrFormat + std::string allocation. The text is
 /// reconstructed on demand (in-process via the global TokenRegistry, or
-/// offline by tools/fela-detok against the checked-in tools/tokens.csv)
-/// byte-identically to what StrFormat would have produced.
+/// offline by tools/fela-detok from the token table a written transcript
+/// carries, sim/trace_io.h) byte-identically to what StrFormat would have
+/// produced.
 
 /// 32-bit FNV-1a over the format string; constexpr so FELA_TOK sites
 /// bake the token into the binary with zero runtime hashing.
@@ -32,6 +31,58 @@ constexpr uint32_t TokenHash32(std::string_view s) {
     hash *= 16777619u;
   }
   return hash;
+}
+
+namespace internal_tokenize {
+// The printf conversion grammar DetokFormat renders and FELA_TOK admits:
+// %[flags][width][.precision][length]conv.
+constexpr bool IsFlag(char c) {
+  return c == '-' || c == '+' || c == ' ' || c == '#' || c == '0';
+}
+constexpr bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+constexpr bool IsLengthMod(char c) {
+  return c == 'l' || c == 'h' || c == 'z' || c == 'j' || c == 't' || c == 'L';
+}
+constexpr bool IsIntegerConv(char c) {
+  return c == 'd' || c == 'i' || c == 'u' || c == 'o' || c == 'x' ||
+         c == 'X' || c == 'c';
+}
+constexpr bool IsFloatConv(char c) {
+  return c == 'f' || c == 'F' || c == 'e' || c == 'E' || c == 'g' ||
+         c == 'G' || c == 'a' || c == 'A';
+}
+}  // namespace internal_tokenize
+
+/// The format policy FELA_TOK enforces at compile time: every conversion
+/// is one DetokFormat renders from a packed numeric slot (an integer
+/// conversion diuoxXc or a float conversion fFeEgGaA, so never %s, %p or
+/// %n), no '%' dangles at the end, and there are at most 4 conversions
+/// (the TokArgs slots). "%%" is a literal percent, not a conversion.
+consteval bool IsTokenizableFormat(std::string_view fmt) {
+  int conversions = 0;
+  size_t i = 0;
+  while (i < fmt.size()) {
+    if (fmt[i++] != '%') continue;
+    if (i < fmt.size() && fmt[i] == '%') {
+      ++i;
+      continue;
+    }
+    while (i < fmt.size() && internal_tokenize::IsFlag(fmt[i])) ++i;
+    while (i < fmt.size() && internal_tokenize::IsDigit(fmt[i])) ++i;
+    if (i < fmt.size() && fmt[i] == '.') {
+      ++i;
+      while (i < fmt.size() && internal_tokenize::IsDigit(fmt[i])) ++i;
+    }
+    while (i < fmt.size() && internal_tokenize::IsLengthMod(fmt[i])) ++i;
+    if (i == fmt.size()) return false;  // dangling '%...'
+    const char conv = fmt[i++];
+    if (!internal_tokenize::IsIntegerConv(conv) &&
+        !internal_tokenize::IsFloatConv(conv)) {
+      return false;
+    }
+    ++conversions;
+  }
+  return conversions <= 4;
 }
 
 /// Up to four arguments packed into fixed-width slots. Integers widen
@@ -99,10 +150,10 @@ struct TokenizedDetail {
 };
 
 /// token -> format string map. The process-global instance is filled
-/// lazily by FELA_TOK sites on first execution; tools build their own
-/// from tokens.csv. Register detects collisions (same token, different
-/// format) — the build-time fela-tokendb scan catches them first, this
-/// is the runtime backstop.
+/// lazily by FELA_TOK sites on first execution; fela-detok builds its
+/// own from a transcript's token table. Register detects collisions
+/// (same token, different format), so two colliding FELA_TOK sites
+/// CHECK-fail in the process that registers both.
 class TokenRegistry {
  public:
   /// False iff `token` is already mapped to a different format string.
@@ -112,10 +163,6 @@ class TokenRegistry {
   /// The format for `token`, or nullptr. The pointer stays valid for
   /// the registry's lifetime (entries are never removed).
   const std::string* Find(uint32_t token) const;
-
-  /// All (token, fmt) pairs sorted by token.
-  std::vector<std::pair<uint32_t, std::string>> Entries() const;
-  size_t size() const;
 
   static TokenRegistry& Global();
 
@@ -129,21 +176,14 @@ class TokenRegistry {
 /// are re-run at 64-bit width (`%d` -> `%lld` etc. — same digits for
 /// every in-range value), floats as double. `%%` passes through; `%s`
 /// and other non-packable conversions render as their literal spec text
-/// (fela-tokendb rejects them at build time).
+/// (IsTokenizableFormat keeps them out of FELA_TOK sites at compile time).
 std::string DetokFormat(const std::string& fmt, const TokArgs& args);
 
 /// Renders a stored detail via `registry` (the process-global one when
 /// null). An empty detail renders as ""; an unknown token renders as
-/// "<token %08x?>" so a stale tokens.csv is visible, not silent.
+/// "<token %08x?>" so a missing format is visible, not silent.
 std::string Detokenize(const TokenizedDetail& detail,
                        const TokenRegistry* registry = nullptr);
-
-/// tokens.csv serialization: one "token,fmt" row per entry sorted by
-/// token, the format CSV-quoted. LoadTokenDbCsv accepts exactly what
-/// TokenDbCsv emits (and what fela-tokendb writes).
-std::string TokenDbCsv(const TokenRegistry& registry);
-bool LoadTokenDbCsv(std::string_view csv, TokenRegistry* registry,
-                    std::string* error);
 
 namespace internal_tokenize {
 /// FELA_TOK backing: registers into the global registry, CHECK-failing
@@ -160,10 +200,15 @@ bool RegisterSiteOrDie(uint32_t token, const char* fmt);
 ///   ScopedSpan s(sink, w, phase, it,
 ///                common::TokenizedDetail(FELA_TOK("it=%d"), it));
 ///
-/// The one-time registration (a static local) is what lets in-process
-/// renderers detokenize without the csv database.
+/// `fmt` must be a string literal that meets IsTokenizableFormat; both
+/// are compile errors otherwise. The one-time registration (a static
+/// local) is what lets in-process renderers and the transcript's token
+/// table find the format.
 #define FELA_TOK(fmt)                                                       \
   ([] {                                                                     \
+    static_assert(::fela::common::IsTokenizableFormat(fmt),                 \
+                  "FELA_TOK format breaks the tokenized-format policy "     \
+                  "(see IsTokenizableFormat)");                             \
     constexpr uint32_t fela_tok_hash_ = ::fela::common::TokenHash32(fmt);   \
     static const bool fela_tok_registered_ =                                \
         ::fela::common::internal_tokenize::RegisterSiteOrDie(fela_tok_hash_, \

@@ -65,6 +65,7 @@ void FelaWorker::OnCrash() {
 }
 
 void FelaWorker::Quiesce() {
+  quiesced_ = true;
   CancelRetryTimer();
   if (token_wait_) {
     // The run ended before the grant came; an open-ended wait would
@@ -75,7 +76,9 @@ void FelaWorker::Quiesce() {
 }
 
 void FelaWorker::ArmRetryTimer() {
-  if (retry_.base_sec <= 0.0) return;
+  // After the run ends, a late completion still reports, but nothing is
+  // left to answer a retry: an armed timer would re-arm forever.
+  if (retry_.base_sec <= 0.0 || quiesced_) return;
   CancelRetryTimer();
   const double delay = common::JitteredBackoffSec(
       retry_.base_sec, retry_.multiplier, retry_.max_sec, retry_attempt_,

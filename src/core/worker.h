@@ -154,8 +154,8 @@ class FelaWorker {
   /// a recovered worker is re-admitted mid-iteration).
   void RequestWork(int iteration);
 
-  /// Cancels any pending retry timer (run teardown — leaves no dangling
-  /// events in the simulator queue).
+  /// Run teardown: cancels any pending retry timer and arms none from
+  /// now on, so no dangling event keeps the simulator queue alive.
   void Quiesce();
 
   /// Enables token-wait span emission: the interval from each request
@@ -211,6 +211,7 @@ class FelaWorker {
   /// reset whenever a fresh request cycle starts or a grant lands.
   int retry_attempt_ = 0;
   sim::EventId retry_timer_ = sim::kInvalidEventId;
+  bool quiesced_ = false;  // set by Quiesce; blocks ArmRetryTimer
   uint64_t retries_ = 0;
   uint64_t ignored_grants_ = 0;
 };

@@ -99,63 +99,6 @@ FileText Preprocess(const std::string& contents) {
   return out;
 }
 
-std::string StripComments(const std::string& source) {
-  std::string out = source;
-  enum class State { kCode, kString, kChar, kLine, kBlock };
-  State state = State::kCode;
-  for (size_t i = 0; i < out.size(); ++i) {
-    const char c = out[i];
-    const char next = i + 1 < out.size() ? out[i + 1] : '\0';
-    switch (state) {
-      case State::kCode:
-        if (c == '"') {
-          state = State::kString;
-        } else if (c == '\'') {
-          state = State::kChar;
-        } else if (c == '/' && next == '/') {
-          state = State::kLine;
-          out[i] = ' ';
-        } else if (c == '/' && next == '*') {
-          state = State::kBlock;
-          out[i] = ' ';
-        }
-        break;
-      case State::kString:
-        if (c == '\\') {
-          ++i;  // skip the escaped char
-        } else if (c == '"') {
-          state = State::kCode;
-        }
-        break;
-      case State::kChar:
-        if (c == '\\') {
-          ++i;
-        } else if (c == '\'') {
-          state = State::kCode;
-        }
-        break;
-      case State::kLine:
-        if (c == '\n') {
-          state = State::kCode;
-        } else {
-          out[i] = ' ';
-        }
-        break;
-      case State::kBlock:
-        if (c == '*' && next == '/') {
-          out[i] = ' ';
-          out[i + 1] = ' ';
-          ++i;
-          state = State::kCode;
-        } else if (c != '\n') {
-          out[i] = ' ';
-        }
-        break;
-    }
-  }
-  return out;
-}
-
 bool IsIdentChar(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
 }

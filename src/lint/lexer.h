@@ -7,15 +7,11 @@
 
 namespace fela::lint {
 
-/// The shared source lexer underneath fela-lint and fela-tokendb: one
-/// comment/string-aware scanner instead of per-tool ad-hoc state
-/// machines. Both tools need the same invariant — columns and line
+/// The source lexer underneath fela-lint: one comment/string-aware
+/// scanner instead of per-rule ad-hoc state machines. Columns and line
 /// numbers survive blanking, so every reported position points at the
-/// real source — and they need opposite literal treatments (lint blanks
-/// string contents so documented anti-patterns never fire; the tokendb
-/// scanner keeps them because the FELA_TOK format literal IS the
-/// payload). Preprocess and StripComments are those two views of the
-/// same pass.
+/// real source, and string contents are blanked so documented
+/// anti-patterns never fire.
 
 /// Per-line split of one file: `code` holds the source with comments
 /// and string/char literal *contents* blanked (quotes kept, columns
@@ -27,12 +23,6 @@ struct FileText {
 
 /// Splits `contents` into aligned code/comment lines (see FileText).
 FileText Preprocess(const std::string& contents);
-
-/// Blanks // and /* */ comment contents (newlines kept so line numbers
-/// survive) without touching string or char literals — the tokendb
-/// view, where FELA_TOK examples in doc comments must never reach the
-/// scanner but real format literals must.
-std::string StripComments(const std::string& source);
 
 /// True for [A-Za-z0-9_].
 bool IsIdentChar(char c);

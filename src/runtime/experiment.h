@@ -71,8 +71,9 @@ struct ExperimentResult {
   obs::MetricsRegistry metrics;
   std::string chrome_trace;  // serialized trace-event JSON
   /// FELATRB1 compact binary transcript of the same spans + trace (see
-  /// sim/trace_io.h) — what determinism hashing compares and what
-  /// tools/fela-detok consumes offline.
+  /// sim/trace_io.h) — what determinism hashing compares. Written to
+  /// disk with obs::AppendTokenTable, it is what tools/fela-detok
+  /// consumes offline.
   std::string binary_trace;
 };
 

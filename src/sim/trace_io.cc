@@ -1,8 +1,10 @@
 #include "sim/trace_io.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/binio.h"
+#include "common/string_util.h"
 #include "sim/chrome_trace.h"
 
 namespace fela::obs {
@@ -63,9 +65,16 @@ std::string SerializeBinaryTrace(const SpanSink& spans,
 
 namespace {
 
-// Reads the body after the header. Returns false on truncation (caller
-// keeps what parsed and marks the stream truncated).
-bool ParseBody(std::string_view bytes, size_t pos, BinaryTraceData* out) {
+bool Fail(std::string* error, std::string message) {
+  if (error != nullptr) *error = std::move(message);
+  return false;
+}
+
+// Reads the body after the header, trailer included, and sets `*end`
+// just past the trailer. Returns false on truncation (caller keeps what
+// parsed and marks the stream truncated).
+bool ParseBody(std::string_view bytes, size_t pos, BinaryTraceData* out,
+               size_t* end) {
   uint64_t span_count = 0;
   if (!binio::ReadU64(bytes, &pos, &span_count) ||
       !binio::ReadU64(bytes, &pos, &out->spans_dropped) ||
@@ -132,31 +141,119 @@ bool ParseBody(std::string_view bytes, size_t pos, BinaryTraceData* out) {
     }
   }
 
-  return bytes.substr(pos) == kBinaryTraceTrailer;
+  if (bytes.substr(pos, kBinaryTraceTrailer.size()) != kBinaryTraceTrailer) {
+    return false;
+  }
+  *end = pos + kBinaryTraceTrailer.size();
+  return true;
+}
+
+// Reads the optional FELATOK1 table from `pos` (just past the trailer)
+// to the end of `bytes`. The table is input from outside the program:
+// every length is bound-checked, and a cut anywhere inside it only sets
+// `out->truncated`. Returns false on bytes AppendTokenTable never
+// writes: an unknown section, out-of-order tokens, a format that does
+// not hash to its token, or bytes after the last entry.
+bool ParseTokenTable(std::string_view bytes, size_t pos, BinaryTraceData* out,
+                     std::string* error) {
+  if (pos == bytes.size()) return true;  // a bare body
+  const std::string_view magic = bytes.substr(pos, kTokenTableMagic.size());
+  if (magic != kTokenTableMagic.substr(0, magic.size())) {
+    return Fail(error, "bytes after the FELAEND trailer are not a FELATOK1 "
+                       "token table");
+  }
+  pos += magic.size();
+  uint32_t count = 0;
+  if (magic.size() < kTokenTableMagic.size() ||
+      !binio::ReadU32(bytes, &pos, &count)) {
+    out->truncated = true;
+    return true;
+  }
+  for (uint32_t i = 0; i < count; ++i) {
+    uint32_t token = 0;
+    uint32_t len = 0;
+    if (!binio::ReadU32(bytes, &pos, &token) ||
+        !binio::ReadU32(bytes, &pos, &len) || bytes.size() - pos < len) {
+      out->truncated = true;
+      return true;
+    }
+    const std::string_view fmt = bytes.substr(pos, len);
+    pos += len;
+    const uint32_t prev = out->tokens.empty() ? 0 : out->tokens.back().first;
+    if (token <= prev) {
+      return Fail(error, common::StrFormat("token table entry %u: token %08x "
+                                           "does not follow %08x",
+                                           i, token, prev));
+    }
+    if (common::TokenHash32(fmt) != token) {
+      return Fail(error, common::StrFormat("token table entry %u: format "
+                                           "does not hash to token %08x",
+                                           i, token));
+    }
+    out->tokens.emplace_back(token, std::string(fmt));
+  }
+  if (pos != bytes.size()) {
+    return Fail(error, "bytes after the FELATOK1 token table");
+  }
+  return true;
 }
 
 }  // namespace
+
+bool AppendTokenTable(std::string* trace_bytes, std::string* error,
+                      const common::TokenRegistry* registry) {
+  BinaryTraceData data;
+  if (!ParseBinaryTrace(*trace_bytes, &data, error)) return false;
+  if (data.truncated || !trace_bytes->ends_with(kBinaryTraceTrailer)) {
+    return Fail(error, "a token table needs a complete FELATRB1 body "
+                       "without one");
+  }
+  std::vector<uint32_t> used;
+  for (const Span& s : data.spans) used.push_back(s.detail.token);
+  for (const sim::TraceRecord& r : data.events) used.push_back(r.token);
+  std::sort(used.begin(), used.end());
+  used.erase(std::unique(used.begin(), used.end()), used.end());
+  if (!used.empty() && used.front() == 0) used.erase(used.begin());
+
+  const common::TokenRegistry& reg =
+      registry != nullptr ? *registry : common::TokenRegistry::Global();
+  std::string table(kTokenTableMagic);
+  binio::AppendU32(&table, static_cast<uint32_t>(used.size()));
+  for (const uint32_t token : used) {
+    const std::string* fmt = reg.Find(token);
+    if (fmt == nullptr) {
+      return Fail(error, common::StrFormat("token %08x is used but not "
+                                           "registered",
+                                           token));
+    }
+    binio::AppendU32(&table, token);
+    binio::AppendU32(&table, static_cast<uint32_t>(fmt->size()));
+    table += *fmt;
+  }
+  *trace_bytes += table;
+  return true;
+}
 
 bool ParseBinaryTrace(std::string_view bytes, BinaryTraceData* out,
                       std::string* error) {
   *out = BinaryTraceData();
   if (bytes.size() < kBinaryTraceMagic.size() ||
       bytes.substr(0, kBinaryTraceMagic.size()) != kBinaryTraceMagic) {
-    if (error != nullptr) *error = "not a FELATRB1 binary trace (bad magic)";
-    return false;
+    return Fail(error, "not a FELATRB1 binary trace (bad magic)");
   }
   size_t pos = kBinaryTraceMagic.size();
   uint32_t num_workers = 0;
   uint8_t has_trace = 0;
   if (!binio::ReadU32(bytes, &pos, &num_workers) ||
       !binio::ReadU8(bytes, &pos, &has_trace)) {
-    if (error != nullptr) *error = "binary trace header truncated";
-    return false;
+    return Fail(error, "binary trace header truncated");
   }
   out->num_workers = static_cast<int>(num_workers);
   out->has_trace = has_trace != 0;
-  out->truncated = !ParseBody(bytes, pos, out);
-  return true;
+  size_t body_end = 0;
+  out->truncated = !ParseBody(bytes, pos, out, &body_end);
+  if (out->truncated) return true;
+  return ParseTokenTable(bytes, body_end, out, error);
 }
 
 std::string RenderTraceText(const BinaryTraceData& data,

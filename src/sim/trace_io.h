@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/tokenize.h"
@@ -36,8 +37,19 @@ namespace fela::obs {
 ///     ...each record with (flags & kDynamicDetailFlag) followed by
 ///       u32 len + len bytes of dynamic detail text
 ///   trailer "FELAEND\n" (8 bytes)
+///
+/// A transcript written to disk also carries, after the trailer, the
+/// formats of the tokens its body uses (AppendTokenTable), so it renders
+/// offline with nothing else:
+///   magic "FELATOK1" (8 bytes), u32 count,
+///   count * (u32 token, u32 len, len bytes of format)
+/// with exactly the nonzero tokens the body references, in strictly
+/// increasing token order. The table is not part of the hashed body:
+/// SerializeBinaryTrace never writes it, and each token is already the
+/// FNV-1a hash of its format.
 inline constexpr std::string_view kBinaryTraceMagic = "FELATRB1";
 inline constexpr std::string_view kBinaryTraceTrailer = "FELAEND\n";
+inline constexpr std::string_view kTokenTableMagic = "FELATOK1";
 
 /// Parsed form of a binary trace — everything needed to re-render the
 /// text timeline and the Chrome trace offline.
@@ -54,6 +66,10 @@ struct BinaryTraceData {
   uint64_t trace_dropped = 0;
   uint64_t trace_capacity = 0;
 
+  /// The FELATOK1 table, sorted by token; empty for a bare body.
+  /// Register these into a TokenRegistry to render offline.
+  std::vector<std::pair<uint32_t, std::string>> tokens;
+
   /// True when the input ended mid-stream: everything parsed up to the
   /// cut is kept, and renderers append an explicit end-of-stream marker.
   bool truncated = false;
@@ -65,10 +81,21 @@ std::string SerializeBinaryTrace(const SpanSink& spans,
                                  const sim::TraceRecorder* trace,
                                  int num_workers);
 
-/// Parses FELATRB1 bytes. Returns false only on a malformed header
-/// (bad magic / impossibly short input); a stream cut off anywhere
-/// after the header parses successfully with `out->truncated` set, so
-/// a partial flight-recorder dump is still readable.
+/// Appends the FELATOK1 table for the complete FELATRB1 body in
+/// `*trace_bytes`, taking formats from `registry` (the process-global
+/// one when null). Returns false, bytes untouched, when the body does
+/// not parse to its trailer, already has a table, or references a token
+/// the registry lacks.
+bool AppendTokenTable(std::string* trace_bytes, std::string* error,
+                      const common::TokenRegistry* registry = nullptr);
+
+/// Parses FELATRB1 bytes and the optional FELATOK1 table. Returns false
+/// on a malformed header (bad magic / impossibly short input), on bytes
+/// after the trailer that are not a table, and on a table entry that
+/// breaks the table's order or whose format does not hash to its token.
+/// A stream cut off anywhere after the header, the table included,
+/// parses successfully with `out->truncated` set, so a partial
+/// flight-recorder dump is still readable.
 bool ParseBinaryTrace(std::string_view bytes, BinaryTraceData* out,
                       std::string* error);
 

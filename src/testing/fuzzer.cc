@@ -144,7 +144,10 @@ FuzzCaseResult RunFuzzCase(const FuzzSpec& spec, const FuzzOptions& options) {
   // outage per failover while DP merely redoes the dead replica's batch,
   // so per-crash degradation dominance is not a theorem there either —
   // the survivability claim under TS loss is bench_control_plane_chaos's
-  // job (Fela finishes where DP stalls outright on fail-stop).
+  // job (Fela finishes where DP stalls outright on fail-stop). Sparing
+  // worker 0 spares only the root host: on a sharded server the other
+  // sub-distributor hosts can still crash and fail their shards over,
+  // so this scope does not rule Token Server failover out.
   // Finally, at least 4 workers: with 2-3 workers a single crash removes
   // a third to half the fleet, Fela's majority degenerates to one or two
   // survivors carrying reassigned tokens through the straggler, and the

@@ -1,6 +1,6 @@
-// Tokenized-tracing unit tests: the compile-time FNV-1a hash, collision
-// detection on known colliding strings, byte-identical re-rendering of
-// packed args, and the tokens.csv round trip fela-detok depends on.
+// Tokenized-tracing unit tests: the compile-time FNV-1a hash and format
+// policy, collision detection on known colliding strings, and
+// byte-identical re-rendering of packed args.
 
 #include "common/tokenize.h"
 
@@ -19,6 +19,14 @@ namespace {
 // of FELA_TOK.
 static_assert(TokenHash32("") == 2166136261u, "FNV-1a basis");
 
+// The format policy FELA_TOK's static_assert applies: numeric
+// conversions only, none dangling, at most 4 (one per TokArgs slot).
+static_assert(IsTokenizableFormat("Token_%lld b=%g it=%d"));
+static_assert(IsTokenizableFormat("100%% done, %-+ #08.3lf|%hhx|%c|%zu"));
+static_assert(!IsTokenizableFormat("name=%s"));
+static_assert(!IsTokenizableFormat("%d %d %d %d %d"));
+static_assert(!IsTokenizableFormat("dangling %"));
+
 /// Packs `args` exactly as a FELA_TOK call site would and re-renders.
 template <typename... Args>
 std::string Detok(const char* fmt, Args... args) {
@@ -33,9 +41,33 @@ TEST(TokenHashTest, MatchesFnv1aReferenceValues) {
   EXPECT_NE(TokenHash32("it=%d"), TokenHash32("it=%u"));
 }
 
+TEST(TokenFormatPolicyTest, AdmitsOnlyWhatFourNumericSlotsCarry) {
+  EXPECT_TRUE(IsTokenizableFormat(""));
+  EXPECT_TRUE(IsTokenizableFormat("plain text, no conversions"));
+  EXPECT_TRUE(IsTokenizableFormat("%d %i %u %o"));
+  EXPECT_TRUE(IsTokenizableFormat("%x %X %c"));
+  EXPECT_TRUE(IsTokenizableFormat("%f %F %e %E"));
+  EXPECT_TRUE(IsTokenizableFormat("%g %G %a %A"));
+  EXPECT_TRUE(IsTokenizableFormat("SM-%d %.1fMB among %zu"));
+  EXPECT_TRUE(IsTokenizableFormat("%% %% %% %% %% %d"));  // %% is no slot
+  // Text arguments cannot pack into a fixed-width numeric slot.
+  EXPECT_FALSE(IsTokenizableFormat("name=%s"));
+  EXPECT_FALSE(IsTokenizableFormat("ptr=%p"));
+  EXPECT_FALSE(IsTokenizableFormat("wrote=%n"));
+  EXPECT_FALSE(IsTokenizableFormat("%ls"));
+  // A conversion DetokFormat does not render.
+  EXPECT_FALSE(IsTokenizableFormat("%q"));
+  // More conversions than arg slots.
+  EXPECT_TRUE(IsTokenizableFormat("%d %d %d %d"));
+  EXPECT_FALSE(IsTokenizableFormat("%d %d %d %d %d"));
+  // A '%' with no conversion after it.
+  EXPECT_FALSE(IsTokenizableFormat("dangling %"));
+  EXPECT_FALSE(IsTokenizableFormat("half a spec %08.3l"));
+}
+
 TEST(TokenHashTest, KnownCollidingPairsCollide) {
   // Famous 32-bit FNV-1a collisions — the fixtures for collision
-  // handling below and in the fela-tokendb scanner tests.
+  // handling below and in the trace_io token-table tests.
   EXPECT_EQ(TokenHash32("costarring"), TokenHash32("liquid"));
   EXPECT_EQ(TokenHash32("declinate"), TokenHash32("macallums"));
   EXPECT_NE(TokenHash32("costarring"), TokenHash32("declinate"));
@@ -96,8 +128,8 @@ TEST(DetokFormatTest, IntegerWidthModifiersAreTransparent) {
 }
 
 TEST(DetokFormatTest, UnpackableSpecsSurfaceVerbatim) {
-  // %s never packs (fela-tokendb rejects it); rendering keeps the spec
-  // text instead of inventing bytes. Same for excess specs.
+  // %s never packs (FELA_TOK rejects it at compile time); rendering
+  // keeps the spec text instead of inventing bytes. Same for excess specs.
   EXPECT_EQ(Detok("%s unsupported"), "%s unsupported");
   EXPECT_EQ(Detok("%d then %d", 7), "7 then %d");
   EXPECT_EQ(Detok("dangling %"), "dangling %");
@@ -108,30 +140,6 @@ TEST(DetokenizeTest, EmptyAndUnknownTokensRenderHonestly) {
   EXPECT_EQ(Detokenize(TokenizedDetail{}, &registry), "");
   TokenizedDetail unknown(TokenizedFmt{0xffu, "?"});
   EXPECT_EQ(Detokenize(unknown, &registry), "<token 000000ff?>");
-}
-
-TEST(TokenDbCsvTest, RoundTripsIncludingQuotedQuotes) {
-  TokenRegistry registry;
-  ASSERT_TRUE(registry.Register(TokenHash32("it=%d"), "it=%d"));
-  ASSERT_TRUE(registry.Register(TokenHash32("say \"hi\" %d times"),
-                                "say \"hi\" %d times"));
-  ASSERT_TRUE(registry.Register(TokenHash32("plain"), "plain"));
-  const std::string csv = TokenDbCsv(registry);
-  TokenRegistry loaded;
-  std::string error;
-  ASSERT_TRUE(LoadTokenDbCsv(csv, &loaded, &error)) << error;
-  EXPECT_EQ(loaded.Entries(), registry.Entries());
-}
-
-TEST(TokenDbCsvTest, MalformedRowsAreRejectedWithLineNumbers) {
-  TokenRegistry registry;
-  std::string error;
-  EXPECT_FALSE(LoadTokenDbCsv("token,fmt\nzz,\"x\"\n", &registry, &error));
-  EXPECT_NE(error.find("line 2"), std::string::npos) << error;
-  EXPECT_FALSE(LoadTokenDbCsv("token,fmt\n12345678,unquoted\n", &registry,
-                              &error));
-  EXPECT_FALSE(LoadTokenDbCsv("token,fmt\n12345678,\"open\n", &registry,
-                              &error));
 }
 
 TEST(TokArgsTest, TypeTagsTrackSignedness) {

@@ -170,9 +170,9 @@ TEST(ObservabilityTest, BenchReportValidatesSchema) {
 TEST(ObservabilityTest, BinaryTraceRoundTripsByteIdenticalUnderFaults) {
   // A composite-fault observed run — crashes plus a lossy control plane
   // exercise the fault-path trace kinds — must produce a binary
-  // transcript that an *offline* registry (built only from the CSV form,
-  // exactly what fela-detok loads) re-renders byte-identically to the
-  // in-process Chrome trace.
+  // transcript that an *offline* registry (built only from the token
+  // table the transcript carries, exactly what fela-detok loads)
+  // re-renders byte-identically to the in-process Chrome trace.
   const FaultFactory faults = [](int n) {
     std::vector<std::unique_ptr<sim::FaultSchedule>> parts;
     parts.push_back(std::make_unique<sim::RandomCrashes>(
@@ -189,18 +189,20 @@ TEST(ObservabilityTest, BinaryTraceRoundTripsByteIdenticalUnderFaults) {
   ASSERT_TRUE(result.observed);
   ASSERT_FALSE(result.binary_trace.empty());
 
-  obs::BinaryTraceData data;
+  std::string transcript = result.binary_trace;
   std::string error;
-  ASSERT_TRUE(obs::ParseBinaryTrace(result.binary_trace, &data, &error))
-      << error;
+  ASSERT_TRUE(obs::AppendTokenTable(&transcript, &error)) << error;
+  obs::BinaryTraceData data;
+  ASSERT_TRUE(obs::ParseBinaryTrace(transcript, &data, &error)) << error;
   EXPECT_FALSE(data.truncated);
   EXPECT_TRUE(data.has_trace);
   EXPECT_FALSE(data.events.empty());
+  EXPECT_FALSE(data.tokens.empty());
 
   common::TokenRegistry offline;
-  ASSERT_TRUE(common::LoadTokenDbCsv(
-      common::TokenDbCsv(common::TokenRegistry::Global()), &offline, &error))
-      << error;
+  for (const auto& [token, fmt] : data.tokens) {
+    ASSERT_TRUE(offline.Register(token, fmt));
+  }
   EXPECT_EQ(obs::RenderChromeTrace(data, &offline), result.chrome_trace);
 }
 

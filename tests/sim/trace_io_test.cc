@@ -1,18 +1,22 @@
 // FELATRB1 binary-trace codec tests: serialize → parse → re-render must
-// be byte-identical to the in-process renderers, a truncated stream
-// still parses up to the cut with an explicit end-of-stream marker, and
-// malformed headers are rejected.
+// be byte-identical to the in-process renderers, also offline through
+// only the FELATOK1 token table; a truncated stream still parses up to
+// the cut with an explicit end-of-stream marker; malformed headers and
+// forged token tables are rejected.
 
 #include "sim/trace_io.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/binio.h"
+#include "common/string_util.h"
 #include "common/tokenize.h"
 #include "model/zoo.h"
 #include "runtime/experiment.h"
@@ -80,18 +84,36 @@ TEST(TraceIoTest, RoundTripWithoutTraceRecorder) {
   EXPECT_EQ(RenderChromeTrace(data), ChromeTraceString(a.spans, nullptr, 4));
 }
 
-TEST(TraceIoTest, OfflineRegistryFromCsvMatchesInProcessRendering) {
-  // Simulates fela-detok: a registry built *only* from the CSV form of
-  // the global registry must reproduce the in-process bytes.
-  Artifacts a;
-  const std::string bytes = SerializeBinaryTrace(a.spans, &a.trace, 4);
-  common::TokenRegistry offline;
+/// The body plus its token table, as dump_timeline writes a .bin.
+std::string WithTokenTable(std::string body) {
   std::string error;
-  ASSERT_TRUE(common::LoadTokenDbCsv(
-      common::TokenDbCsv(common::TokenRegistry::Global()), &offline, &error))
-      << error;
+  EXPECT_TRUE(AppendTokenTable(&body, &error)) << error;
+  return body;
+}
+
+/// What fela-detok renders through: only the transcript's own table.
+void RegisterTable(const BinaryTraceData& data,
+                   common::TokenRegistry* registry) {
+  for (const auto& [token, fmt] : data.tokens) {
+    ASSERT_TRUE(registry->Register(token, fmt));
+  }
+}
+
+TEST(TraceIoTest, OfflineRegistryFromTokenTableMatchesInProcessRendering) {
+  Artifacts a;
+  const std::string bytes =
+      WithTokenTable(SerializeBinaryTrace(a.spans, &a.trace, 4));
   BinaryTraceData data;
+  std::string error;
   ASSERT_TRUE(ParseBinaryTrace(bytes, &data, &error)) << error;
+  EXPECT_FALSE(data.truncated);
+  // Exactly the tokens the body uses: the "it=%d n=%zu" event dropped
+  // off the ring, so its format stays out although it is registered.
+  const std::vector<std::pair<uint32_t, std::string>> expected = {
+      {common::TokenHash32("w=%d b=%g"), "w=%d b=%g"}};
+  EXPECT_EQ(data.tokens, expected);
+  common::TokenRegistry offline;
+  RegisterTable(data, &offline);
   EXPECT_EQ(RenderTraceText(data, &offline), a.trace.ToString());
   EXPECT_EQ(RenderChromeTrace(data, &offline),
             ChromeTraceString(a.spans, &a.trace, 4));
@@ -101,7 +123,7 @@ TEST(TraceIoTest, FaultedRackedRunRendersOfflineAsLive) {
   // The fela-detok --chrome path on a real run: 32 Fela workers in racks
   // of 8 (one Token Server shard per rack), the TS host crashing and
   // failing over, and a lossy control plane. The offline registry is
-  // built only from the CSV form, as fela-detok builds it.
+  // built only from the transcript's token table, as fela-detok builds it.
   runtime::ExperimentSpec spec;
   spec.num_workers = 32;
   spec.total_batch = 512;
@@ -130,13 +152,13 @@ TEST(TraceIoTest, FaultedRackedRunRendersOfflineAsLive) {
 
   BinaryTraceData data;
   std::string error;
-  ASSERT_TRUE(ParseBinaryTrace(result.binary_trace, &data, &error)) << error;
+  ASSERT_TRUE(ParseBinaryTrace(WithTokenTable(result.binary_trace), &data,
+                               &error))
+      << error;
   EXPECT_FALSE(data.truncated);
   EXPECT_EQ(data.num_workers, 32);
   common::TokenRegistry offline;
-  ASSERT_TRUE(common::LoadTokenDbCsv(
-      common::TokenDbCsv(common::TokenRegistry::Global()), &offline, &error))
-      << error;
+  RegisterTable(data, &offline);
   EXPECT_EQ(RenderChromeTrace(data, &offline), result.chrome_trace);
 }
 
@@ -160,6 +182,125 @@ TEST(TraceIoTest, TruncatedStreamParsesWithEndOfStreamMarker) {
     EXPECT_EQ(text.substr(text.size() - marker.size()), marker)
         << "cut=" << cut;
   }
+}
+
+TEST(TraceIoTest, BareBodyParsesAndRendersUnknownTokensHonestly) {
+  // The in-memory form carries no table: it parses complete, and
+  // without a registry entry a token renders as a visible placeholder.
+  Artifacts a;
+  BinaryTraceData data;
+  std::string error;
+  ASSERT_TRUE(ParseBinaryTrace(SerializeBinaryTrace(a.spans, &a.trace, 4),
+                               &data, &error))
+      << error;
+  EXPECT_FALSE(data.truncated);
+  EXPECT_TRUE(data.tokens.empty());
+  common::TokenRegistry empty;
+  EXPECT_NE(RenderChromeTrace(data, &empty)
+                .find(common::StrFormat("<token %08x?>",
+                                        common::TokenHash32("w=%d b=%g"))),
+            std::string::npos);
+}
+
+TEST(TraceIoTest, TokenTableCutAtEveryOffsetKeepsTheBody) {
+  Artifacts a;
+  const std::string body = SerializeBinaryTrace(a.spans, &a.trace, 4);
+  const std::string full = WithTokenTable(body);
+  BinaryTraceData whole;
+  std::string error;
+  ASSERT_TRUE(ParseBinaryTrace(full, &whole, &error)) << error;
+  ASSERT_FALSE(whole.tokens.empty());
+  const std::string text = RenderTraceText(whole);
+  for (size_t cut = body.size() + 1; cut < full.size(); ++cut) {
+    BinaryTraceData data;
+    ASSERT_TRUE(ParseBinaryTrace(full.substr(0, cut), &data, &error))
+        << "cut=" << cut << ": " << error;
+    EXPECT_TRUE(data.truncated) << "cut=" << cut;
+    EXPECT_EQ(data.spans.size(), whole.spans.size()) << "cut=" << cut;
+    EXPECT_EQ(data.events.size(), whole.events.size()) << "cut=" << cut;
+    EXPECT_LT(data.tokens.size(), whole.tokens.size()) << "cut=" << cut;
+    EXPECT_EQ(RenderTraceText(data),
+              text + "<truncated binary trace: end of stream>\n")
+        << "cut=" << cut;
+  }
+}
+
+TEST(TraceIoTest, TokenTableLengthOverrunIsTruncation) {
+  Artifacts a;
+  const std::string body = SerializeBinaryTrace(a.spans, &a.trace, 4);
+  std::string bytes = WithTokenTable(body);
+  // Entry 0's length field sits after the magic, the count and its token.
+  std::string huge;
+  common::AppendU32(&huge, 0xffffffffu);
+  bytes.replace(body.size() + kTokenTableMagic.size() + 8, 4, huge);
+  BinaryTraceData data;
+  std::string error;
+  ASSERT_TRUE(ParseBinaryTrace(bytes, &data, &error)) << error;
+  EXPECT_TRUE(data.truncated);
+  EXPECT_TRUE(data.tokens.empty());
+  EXPECT_EQ(data.spans.size(), 2u);
+}
+
+TEST(TraceIoTest, ForgedTokenTablesAreRejected) {
+  Artifacts a;
+  const std::string body = SerializeBinaryTrace(a.spans, &a.trace, 4);
+  auto table = [&body](const std::vector<std::pair<uint32_t, std::string>>&
+                           entries) {
+    std::string out = body + std::string(kTokenTableMagic);
+    common::AppendU32(&out, static_cast<uint32_t>(entries.size()));
+    for (const auto& [token, fmt] : entries) {
+      common::AppendU32(&out, token);
+      common::AppendU32(&out, static_cast<uint32_t>(fmt.size()));
+      out += fmt;
+    }
+    return out;
+  };
+  const auto entry = [](const char* fmt) {
+    return std::pair<uint32_t, std::string>(common::TokenHash32(fmt), fmt);
+  };
+  BinaryTraceData data;
+  std::string error;
+  ASSERT_TRUE(ParseBinaryTrace(table({entry("w=%d b=%g")}), &data, &error))
+      << error;
+  EXPECT_FALSE(data.truncated);
+
+  // A format that does not hash to its token.
+  EXPECT_FALSE(ParseBinaryTrace(
+      table({{common::TokenHash32("w=%d b=%g"), "w=%d b=%f"}}), &data,
+      &error));
+  EXPECT_NE(error.find("hash"), std::string::npos) << error;
+  // Two formats for one token (an FNV-1a collision), and tokens out of
+  // order: either would let a later entry shadow an earlier one.
+  EXPECT_FALSE(ParseBinaryTrace(table({entry("costarring"), entry("liquid")}),
+                                &data, &error));
+  EXPECT_FALSE(ParseBinaryTrace(table({std::max(entry("a"), entry("b")),
+                                       std::min(entry("a"), entry("b"))}),
+                                &data, &error));
+  // Token 0 means "no detail" and is never in a table.
+  EXPECT_FALSE(ParseBinaryTrace(table({{0u, ""}}), &data, &error));
+  // Bytes after the table, and a section that is not a table.
+  EXPECT_FALSE(
+      ParseBinaryTrace(table({entry("w=%d b=%g")}) + "x", &data, &error));
+  EXPECT_FALSE(ParseBinaryTrace(body + "FELAXXXX", &data, &error));
+}
+
+TEST(TraceIoTest, AppendTokenTableRefusesWhatItCannotDescribe) {
+  Artifacts a;
+  const std::string body = SerializeBinaryTrace(a.spans, &a.trace, 4);
+  std::string error;
+  // A used token the registry lacks is an error, not a dropped row.
+  common::TokenRegistry empty;
+  std::string bytes = body;
+  EXPECT_FALSE(AppendTokenTable(&bytes, &error, &empty));
+  EXPECT_NE(error.find("not registered"), std::string::npos) << error;
+  EXPECT_EQ(bytes, body);
+  // A cut body, and a body that already carries its table.
+  bytes = body.substr(0, body.size() - 1);
+  EXPECT_FALSE(AppendTokenTable(&bytes, &error));
+  bytes = WithTokenTable(body);
+  const std::string once = bytes;
+  EXPECT_FALSE(AppendTokenTable(&bytes, &error));
+  EXPECT_EQ(bytes, once);
 }
 
 TEST(TraceIoTest, MalformedHeaderIsRejected) {

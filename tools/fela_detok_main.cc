@@ -1,21 +1,23 @@
-// fela-detok: offline detokenizer for FELATRB1 binary traces. Loads a
-// token database (tools/tokens.csv, generated by fela-tokendb) and
-// reconstructs either the human-readable event timeline — byte-
-// identical to TraceRecorder::ToString() in-process — or the Chrome
-// trace-event JSON for Perfetto (--chrome), byte-identical to the
-// chrome_trace.json the run itself would have written.
+// fela-detok: offline detokenizer for FELATRB1 binary traces. Renders
+// a transcript through the FELATOK1 token table it carries (the formats
+// of every token it uses; sim/trace_io.h), so nothing but the .bin is
+// needed: either the human-readable event timeline — byte-identical to
+// TraceRecorder::ToString() in-process — or the Chrome trace-event JSON
+// for Perfetto (--chrome), byte-identical to the chrome_trace.json the
+// run itself would have written.
 //
-//   fela-detok --tokens=<csv> [--chrome] <trace.bin>
+//   fela-detok [--chrome] <trace.bin>
 //
 // A truncated trace renders everything up to the cut plus an explicit
-// end-of-stream marker (text mode). Exit codes: 0 ok (including
-// truncated input), 2 usage, I/O, or malformed-header error.
+// end-of-stream marker (text mode); tokens the table lacks (a bare body,
+// or a table cut short) render as <token xxxxxxxx?>. Exit codes: 0 ok
+// (including truncated input), 2 usage, I/O, malformed header or
+// malformed token table.
 
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "common/tokenize.h"
 #include "sim/trace_io.h"
@@ -34,14 +36,11 @@ bool ReadFile(const std::string& path, std::string* contents) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string tokens_path;
   std::string trace_path;
   bool chrome = false;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    if (a.rfind("--tokens=", 0) == 0) {
-      tokens_path = a.substr(9);
-    } else if (a == "--chrome") {
+    if (a == "--chrome") {
       chrome = true;
     } else if (a.rfind("--", 0) == 0) {
       std::cerr << "fela-detok: unknown flag " << a << "\n";
@@ -53,20 +52,8 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (tokens_path.empty() || trace_path.empty()) {
-    std::cerr << "usage: fela-detok --tokens=<csv> [--chrome] <trace.bin>\n";
-    return 2;
-  }
-
-  std::string csv;
-  if (!ReadFile(tokens_path, &csv)) {
-    std::cerr << "fela-detok: cannot read " << tokens_path << "\n";
-    return 2;
-  }
-  fela::common::TokenRegistry registry;
-  std::string error;
-  if (!fela::common::LoadTokenDbCsv(csv, &registry, &error)) {
-    std::cerr << "fela-detok: " << tokens_path << ": " << error << "\n";
+  if (trace_path.empty()) {
+    std::cerr << "usage: fela-detok [--chrome] <trace.bin>\n";
     return 2;
   }
 
@@ -76,10 +63,15 @@ int main(int argc, char** argv) {
     return 2;
   }
   fela::obs::BinaryTraceData data;
+  std::string error;
   if (!fela::obs::ParseBinaryTrace(bytes, &data, &error)) {
     std::cerr << "fela-detok: " << trace_path << ": " << error << "\n";
     return 2;
   }
+  // The parser has already checked every entry hashes to its token and
+  // the tokens strictly increase, so registration cannot collide.
+  fela::common::TokenRegistry registry;
+  for (const auto& [token, fmt] : data.tokens) registry.Register(token, fmt);
 
   if (chrome) {
     std::cout << fela::obs::RenderChromeTrace(data, &registry);

@@ -323,11 +323,37 @@ void BM_TraceRecorderRecord(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceRecorderRecord);
 
-// The same record through the legacy dynamic-string overload (the
-// escape hatch tokenization replaced on hot paths).
+// The pre-tokenization trace recorder, kept as the before/after
+// baseline the way LegacySpanSink is: every record stores a freshly
+// formatted std::string detail in the ring. The BENCH baseline pins
+// BM_TraceRecorderRecord >= 3x BM_LegacyTraceRecorderRecordText.
+class LegacyTraceRecorder {
+ public:
+  explicit LegacyTraceRecorder(size_t capacity) : capacity_(capacity) {}
+
+  void Record(sim::SimTime time, sim::NodeId node, sim::TraceKind kind,
+              std::string detail) {
+    sim::TraceEvent event{time, node, kind, std::move(detail)};
+    if (events_.size() < capacity_) {
+      events_.push_back(std::move(event));
+      return;
+    }
+    events_[next_] = std::move(event);
+    next_ = (next_ + 1) % capacity_;
+    ++dropped_;
+  }
+
+  size_t size() const { return events_.size(); }
+
+ private:
+  size_t capacity_;
+  std::vector<sim::TraceEvent> events_;
+  size_t next_ = 0;
+  size_t dropped_ = 0;
+};
+
 void BM_LegacyTraceRecorderRecordText(benchmark::State& state) {
-  sim::TraceRecorder trace(/*capacity=*/4096);
-  trace.set_enabled(true);
+  LegacyTraceRecorder trace(/*capacity=*/4096);
   double t = 0.0;
   int it = 0;
   for (auto _ : state) {

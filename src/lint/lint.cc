@@ -33,17 +33,12 @@ const std::vector<RuleInfo> kRules = {
     {"unordered-iter",
      "iteration over a std::unordered_{map,set} member whose body emits "
      "events/output/IDs (iterate a sorted key snapshot instead)"},
-    {"discarded-status", "discarded Status/Result return value"},
     {"float-eq",
      "exact floating-point ==/!= comparison in simulation code (compare "
      "against an epsilon, or suppress if exactness is intended)"},
     {"untraced-event",
      "event-queue mutation (Schedule/ScheduleAt) in an engine hot path "
      "whose function records no FELA_TRACE"},
-    {"untokenized-trace",
-     "raw string detail at a trace/span call site (FELA_TRACE, "
-     "Record, Emit); tokenize with FELA_TOK so the hot path stays "
-     "allocation-free"},
     {"bare-allow",
      "suppression comment without a justification; write "
      "`// fela-lint: allow(<rule>): <reason>`"},
@@ -319,49 +314,6 @@ std::set<std::string> CollectUnorderedMembers(const FileText& text) {
   return members;
 }
 
-/// Names of functions declared/defined with a Status or Result<> return
-/// type anywhere in the file.
-void CollectStatusFunctions(const FileText& text,
-                            std::set<std::string>* names) {
-  for (const std::string& line : text.code) {
-    for (const char* ret : {"Status", "Result"}) {
-      size_t pos = FindWord(line, ret);
-      while (pos != std::string::npos) {
-        size_t p = pos + std::string(ret).size();
-        if (std::string(ret) == "Result") {
-          // Skip the template argument list `<T>`.
-          if (p >= line.size() || line[p] != '<') {
-            pos = FindWord(line, ret, pos + 1);
-            continue;
-          }
-          int depth = 0;
-          while (p < line.size()) {
-            if (line[p] == '<') ++depth;
-            if (line[p] == '>') {
-              --depth;
-              if (depth == 0) {
-                ++p;
-                break;
-              }
-            }
-            ++p;
-          }
-        }
-        while (p < line.size() && (line[p] == ' ' || line[p] == '&')) ++p;
-        size_t b = p;
-        while (p < line.size() && IsIdentChar(line[p])) ++p;
-        if (p > b && p < line.size() && line[p] == '(') {
-          const std::string name = line.substr(b, p - b);
-          // Constructors/factories named like the type are fine; also
-          // skip macro-ish all-caps names.
-          if (name != "Status" && name != "Result") names->insert(name);
-        }
-        pos = FindWord(line, ret, pos + 1);
-      }
-    }
-  }
-}
-
 /// Identifiers declared with a floating-point type in this file
 /// (variables, members, and functions returning double/float/SimTime).
 std::set<std::string> CollectFloatIdents(const FileText& text) {
@@ -410,7 +362,7 @@ std::vector<UnorderedLoop> FindUnorderedLoops(
   std::vector<UnorderedLoop> loops;
   if (members.empty()) return loops;
   static const char* kEmitters[] = {
-      "Emit(",       "Record(",     "RecordLazy(",  "FELA_TRACE",
+      "Emit(",       "Record(",     "FELA_TRACE",
       "Schedule(",   "ScheduleAt(", "Push(",        "push_back(",
       "emplace_back(", "Append(",   "AddRow(",      "printf",
       "<<",          "SendControl(", "Transfer(",   "deliver_grant",
@@ -590,77 +542,6 @@ void CheckUnorderedIter(RuleContext& ctx,
   }
 }
 
-void CheckDiscardedStatus(RuleContext& ctx,
-                          const std::set<std::string>& status_fns) {
-  if (status_fns.empty()) return;
-  const auto& code = ctx.text.code;
-  for (size_t i = 0; i < code.size(); ++i) {
-    const std::string trimmed = Trim(code[i]);
-    if (trimmed.empty()) continue;
-    // Statement must start the line: optional `ns::` qualifiers, then a
-    // tracked name, then '('.
-    size_t p = 0;
-    std::string name;
-    while (p < trimmed.size()) {
-      size_t b = p;
-      while (p < trimmed.size() && IsIdentChar(trimmed[p])) ++p;
-      if (p == b) break;
-      name = trimmed.substr(b, p - b);
-      if (p + 1 < trimmed.size() && trimmed[p] == ':' &&
-          trimmed[p + 1] == ':') {
-        p += 2;
-        continue;
-      }
-      break;
-    }
-    if (name.empty() || status_fns.count(name) == 0) continue;
-    if (p >= trimmed.size() || trimmed[p] != '(') continue;
-    // Previous code line must end a statement (not an expression
-    // continuation or a return/assignment spanning lines).
-    size_t prev = i;
-    std::string prev_trimmed;
-    while (prev > 0) {
-      --prev;
-      prev_trimmed = Trim(code[prev]);
-      if (!prev_trimmed.empty()) break;
-    }
-    if (!prev_trimmed.empty()) {
-      const char last = prev_trimmed.back();
-      if (last != ';' && last != '{' && last != '}' && last != ':') continue;
-    }
-    // Balance parens from the call across lines; the statement discards
-    // the Status iff the matching ')' is immediately followed by ';'.
-    int depth = 0;
-    size_t l = i;
-    size_t c = code[i].find('(', code[i].find(name));
-    bool discarded = false;
-    bool done = false;
-    for (; l < code.size() && !done; ++l, c = 0) {
-      for (size_t k = c; k < code[l].size(); ++k) {
-        const char ch = code[l][k];
-        if (ch == '(') ++depth;
-        if (ch == ')') {
-          --depth;
-          if (depth == 0) {
-            size_t q = k + 1;
-            while (q < code[l].size() && code[l][q] == ' ') ++q;
-            // `.ok()` / `;` etc: only a bare `;` discards.
-            discarded = q < code[l].size() && code[l][q] == ';';
-            done = true;
-            break;
-          }
-        }
-      }
-    }
-    if (discarded) {
-      ctx.Report(i, "discarded-status",
-                 common::StrFormat("result of Status-returning '%s' is "
-                                   "discarded",
-                                   name.c_str()));
-    }
-  }
-}
-
 void CheckFloatEq(RuleContext& ctx) {
   const std::set<std::string> floats = CollectFloatIdents(ctx.text);
   const auto& code = ctx.text.code;
@@ -771,98 +652,6 @@ void CheckUntracedEvent(RuleContext& ctx) {
   if (in_fn) finish_fn(code.size() - 1);
 }
 
-/// Flags trace/span call sites whose argument list still carries raw
-/// string detail: a quoted literal outside any FELA_TOK(...) extent, or
-/// a StrFormat/to_string/ToString call building the detail at runtime.
-/// Both defeat tokenized tracing — the disabled hot path must stay
-/// allocation-free and the binary transcript only carries tokens.
-void CheckUntokenizedTrace(RuleContext& ctx) {
-  const auto& code = ctx.text.code;
-  for (size_t i = 0; i < code.size(); ++i) {
-    const std::string& line = code[i];
-    // Anchor on call sites: the FELA_TRACE macro, or a member call to
-    // Record/RecordLazy/Emit (`x.Record(` / `p->Emit(`). Definitions and
-    // qualified declarations (`TraceRecorder::Record(`) do not anchor.
-    std::vector<size_t> opens;
-    size_t pos = FindWord(line, "FELA_TRACE");
-    while (pos != std::string::npos) {
-      size_t p = pos + 10;
-      while (p < line.size() && line[p] == ' ') ++p;
-      if (p < line.size() && line[p] == '(') opens.push_back(p);
-      pos = FindWord(line, "FELA_TRACE", pos + 1);
-    }
-    for (const char* fn : {"Record(", "RecordLazy(", "Emit("}) {
-      const size_t len = std::string(fn).size();
-      size_t q = line.find(fn);
-      while (q != std::string::npos) {
-        if (q > 0 && (line[q - 1] == '.' || line[q - 1] == '>')) {
-          opens.push_back(q + len - 1);
-        }
-        q = line.find(fn, q + 1);
-      }
-    }
-    for (size_t open : opens) {
-      // Collect the full parenthesized extent, possibly spanning lines.
-      std::string extent;
-      int depth = 0;
-      bool closed = false;
-      for (size_t l = i; l < code.size() && !closed; ++l) {
-        for (size_t c = l == i ? open : 0; c < code[l].size(); ++c) {
-          const char ch = code[l][c];
-          extent += ch;
-          if (ch == '(') ++depth;
-          if (ch == ')') {
-            --depth;
-            if (depth == 0) {
-              closed = true;
-              break;
-            }
-          }
-        }
-        extent += '\n';
-      }
-      if (!closed) continue;
-      // Blank FELA_TOK(...) sub-extents — their format literal IS the
-      // tokenized path this rule asks for.
-      size_t tok = FindWord(extent, "FELA_TOK");
-      while (tok != std::string::npos) {
-        size_t p = extent.find('(', tok);
-        int d = 0;
-        size_t end = p;
-        for (; p != std::string::npos && p < extent.size(); ++p) {
-          if (extent[p] == '(') ++d;
-          if (extent[p] == ')') {
-            --d;
-            if (d == 0) {
-              end = p + 1;
-              break;
-            }
-          }
-        }
-        for (size_t b = tok; b < end; ++b) extent[b] = ' ';
-        tok = FindWord(extent, "FELA_TOK", end);
-      }
-      const char* culprit = nullptr;
-      if (extent.find('"') != std::string::npos) {
-        culprit = "string literal";
-      } else if (ContainsWord(extent, "StrFormat")) {
-        culprit = "StrFormat";
-      } else if (ContainsWord(extent, "to_string") ||
-                 ContainsWord(extent, "ToString")) {
-        culprit = "to_string/ToString";
-      }
-      if (culprit != nullptr) {
-        ctx.Report(i, "untokenized-trace",
-                   common::StrFormat("raw %s detail at a trace call site; "
-                                     "tokenize with FELA_TOK (or suppress "
-                                     "for genuinely dynamic text)",
-                                     culprit));
-        break;  // one finding per line is enough
-      }
-    }
-  }
-}
-
 void CheckBareAllow(RuleContext& ctx, const SuppressionInfo& sup) {
   for (const SuppressionInfo::BareAllow& b : sup.bare) {
     ctx.Report(b.line_index, "bare-allow",
@@ -908,8 +697,7 @@ std::vector<Finding> LintFileImpl(const std::string& path,
                                   const FileText& text,
                                   const SuppressionInfo& sup,
                                   const Options& options,
-                                  const std::set<std::string>& extra_members,
-                                  const std::set<std::string>& status_fns) {
+                                  const std::set<std::string>& extra_members) {
   const std::vector<std::string> parts = PathComponents(path);
   std::vector<Finding> findings;
   RuleContext ctx{path, text, sup.allowed, &findings};
@@ -918,17 +706,11 @@ std::vector<Finding> LintFileImpl(const std::string& path,
     if (RuleEnabled(options, "wall-clock")) CheckWallClock(ctx);
     if (RuleEnabled(options, "unseeded-rng")) CheckUnseededRng(ctx);
     if (RuleEnabled(options, "float-eq")) CheckFloatEq(ctx);
-    if (RuleEnabled(options, "untokenized-trace")) CheckUntokenizedTrace(ctx);
   }
   if (RuleEnabled(options, "unordered-iter")) {
     std::set<std::string> members = CollectUnorderedMembers(text);
     members.insert(extra_members.begin(), extra_members.end());
     CheckUnorderedIter(ctx, members);
-  }
-  if (RuleEnabled(options, "discarded-status")) {
-    std::set<std::string> fns = status_fns;
-    CollectStatusFunctions(text, &fns);
-    CheckDiscardedStatus(ctx, fns);
   }
   if (IsEngineScoped(path, parts) && RuleEnabled(options, "untraced-event")) {
     CheckUntracedEvent(ctx);
@@ -1131,12 +913,10 @@ std::vector<Finding> LintFile(const std::string& path,
                               const std::string& contents,
                               const Options& options,
                               const std::set<std::string>&
-                                  extra_unordered_members,
-                              const std::set<std::string>& status_functions) {
+                                  extra_unordered_members) {
   const FileText text = Preprocess(contents);
   const SuppressionInfo sup = ParseSuppressions(text);
-  return LintFileImpl(path, text, sup, options, extra_unordered_members,
-                      status_functions);
+  return LintFileImpl(path, text, sup, options, extra_unordered_members);
 }
 
 bool LintTree(const std::vector<std::string>& roots, const Options& options,
@@ -1200,10 +980,8 @@ bool LintTree(const std::vector<std::string>& roots, const Options& options,
 
   // Pass 4: rules.
   t0 = LintNowSeconds();
-  std::set<std::string> status_fns;
   std::map<std::string, std::set<std::string>> header_members;
   for (const std::string& f : files) {
-    CollectStatusFunctions(texts[f], &status_fns);
     header_members[f] = CollectUnorderedMembers(texts[f]);
   }
 
@@ -1247,7 +1025,7 @@ bool LintTree(const std::vector<std::string>& roots, const Options& options,
     }
 
     std::vector<Finding> file_findings =
-        LintFileImpl(f, texts[f], sups[f], options, extra, status_fns);
+        LintFileImpl(f, texts[f], sups[f], options, extra);
     findings->insert(findings->end(), file_findings.begin(),
                      file_findings.end());
 

@@ -38,12 +38,10 @@ std::string SerializeBinaryTrace(const SpanSink& spans,
 
   if (trace != nullptr) {
     const std::vector<sim::TraceRecord> records = trace->records();
-    const std::vector<std::string> dynamic = trace->dynamic_details();
     binio::AppendU64(&out, records.size());
     binio::AppendU64(&out, trace->dropped());
     binio::AppendU64(&out, trace->capacity());
-    for (size_t i = 0; i < records.size(); ++i) {
-      const sim::TraceRecord& r = records[i];
+    for (const sim::TraceRecord& r : records) {
       binio::AppendF64(&out, r.time);
       for (int a = 0; a < 4; ++a) binio::AppendU64(&out, r.args[a]);
       binio::AppendI32(&out, r.node);
@@ -51,11 +49,7 @@ std::string SerializeBinaryTrace(const SpanSink& spans,
       binio::AppendU8(&out, r.kind);
       binio::AppendU8(&out, r.arg_count);
       binio::AppendU8(&out, r.arg_types);
-      binio::AppendU8(&out, r.flags);
-      if ((r.flags & sim::kDynamicDetailFlag) != 0) {
-        binio::AppendU32(&out, static_cast<uint32_t>(dynamic[i].size()));
-        out += dynamic[i];
-      }
+      binio::AppendU8(&out, 0);  // flags (reserved)
     }
   }
 
@@ -71,15 +65,20 @@ bool Fail(std::string* error, std::string message) {
 }
 
 // Reads the body after the header, trailer included, and sets `*end`
-// just past the trailer. Returns false on truncation (caller keeps what
-// parsed and marks the stream truncated).
+// just past the trailer. A stream cut anywhere keeps what parsed and
+// sets `out->truncated`. Returns false only on a record
+// SerializeBinaryTrace never writes: a nonzero reserved flags byte.
 bool ParseBody(std::string_view bytes, size_t pos, BinaryTraceData* out,
-               size_t* end) {
+               size_t* end, std::string* error) {
+  const auto cut = [out] {
+    out->truncated = true;
+    return true;
+  };
   uint64_t span_count = 0;
   if (!binio::ReadU64(bytes, &pos, &span_count) ||
       !binio::ReadU64(bytes, &pos, &out->spans_dropped) ||
       !binio::ReadU64(bytes, &pos, &out->span_capacity)) {
-    return false;
+    return cut();
   }
   for (uint64_t i = 0; i < span_count; ++i) {
     Span s;
@@ -98,7 +97,7 @@ bool ParseBody(std::string_view bytes, size_t pos, BinaryTraceData* out,
         !binio::ReadU8(bytes, &pos, &s.detail.args.count) ||
         !binio::ReadU8(bytes, &pos, &s.detail.args.types) ||
         !binio::ReadU8(bytes, &pos, &pad)) {
-      return false;
+      return cut();
     }
     s.phase = static_cast<Phase>(phase);
     out->spans.push_back(s);
@@ -109,11 +108,11 @@ bool ParseBody(std::string_view bytes, size_t pos, BinaryTraceData* out,
     if (!binio::ReadU64(bytes, &pos, &trace_count) ||
         !binio::ReadU64(bytes, &pos, &out->trace_dropped) ||
         !binio::ReadU64(bytes, &pos, &out->trace_capacity)) {
-      return false;
+      return cut();
     }
     for (uint64_t i = 0; i < trace_count; ++i) {
       sim::TraceRecord r;
-      std::string dynamic;
+      uint8_t flags = 0;
       if (!binio::ReadF64(bytes, &pos, &r.time) ||
           !binio::ReadU64(bytes, &pos, &r.args[0]) ||
           !binio::ReadU64(bytes, &pos, &r.args[1]) ||
@@ -124,25 +123,22 @@ bool ParseBody(std::string_view bytes, size_t pos, BinaryTraceData* out,
           !binio::ReadU8(bytes, &pos, &r.kind) ||
           !binio::ReadU8(bytes, &pos, &r.arg_count) ||
           !binio::ReadU8(bytes, &pos, &r.arg_types) ||
-          !binio::ReadU8(bytes, &pos, &r.flags)) {
-        return false;
+          !binio::ReadU8(bytes, &pos, &flags)) {
+        return cut();
       }
-      if ((r.flags & sim::kDynamicDetailFlag) != 0) {
-        uint32_t len = 0;
-        if (!binio::ReadU32(bytes, &pos, &len) ||
-            bytes.size() - pos < len) {
-          return false;
-        }
-        dynamic.assign(bytes.substr(pos, len));
-        pos += len;
+      if (flags != 0) {
+        return Fail(error, common::StrFormat(
+                               "trace record %llu: reserved flags byte is "
+                               "%u, not 0",
+                               static_cast<unsigned long long>(i),
+                               static_cast<unsigned>(flags)));
       }
       out->events.push_back(r);
-      out->dynamic_details.push_back(std::move(dynamic));
     }
   }
 
   if (bytes.substr(pos, kBinaryTraceTrailer.size()) != kBinaryTraceTrailer) {
-    return false;
+    return cut();
   }
   *end = pos + kBinaryTraceTrailer.size();
   return true;
@@ -251,7 +247,7 @@ bool ParseBinaryTrace(std::string_view bytes, BinaryTraceData* out,
   out->num_workers = static_cast<int>(num_workers);
   out->has_trace = has_trace != 0;
   size_t body_end = 0;
-  out->truncated = !ParseBody(bytes, pos, out, &body_end);
+  if (!ParseBody(bytes, pos, out, &body_end, error)) return false;
   if (out->truncated) return true;
   return ParseTokenTable(bytes, body_end, out, error);
 }
@@ -263,11 +259,10 @@ std::string RenderTraceText(const BinaryTraceData& data,
     sim::AppendTraceDroppedHeader(&out, data.trace_dropped,
                                   data.trace_capacity);
   }
-  for (size_t i = 0; i < data.events.size(); ++i) {
-    const sim::TraceRecord& r = data.events[i];
-    sim::AppendTraceLine(
-        &out, r.time, r.node, static_cast<sim::TraceKind>(r.kind),
-        sim::RenderTraceDetail(r, data.dynamic_details[i], registry));
+  for (const sim::TraceRecord& r : data.events) {
+    sim::AppendTraceLine(&out, r.time, r.node,
+                         static_cast<sim::TraceKind>(r.kind),
+                         sim::RenderTraceDetail(r, registry));
   }
   if (data.truncated) out += "<truncated binary trace: end of stream>\n";
   return out;
@@ -277,11 +272,10 @@ std::string RenderChromeTrace(const BinaryTraceData& data,
                               const common::TokenRegistry* registry) {
   std::vector<sim::TraceEvent> events;
   events.reserve(data.events.size());
-  for (size_t i = 0; i < data.events.size(); ++i) {
-    const sim::TraceRecord& r = data.events[i];
-    events.push_back(sim::TraceEvent{
-        r.time, r.node, static_cast<sim::TraceKind>(r.kind),
-        sim::RenderTraceDetail(r, data.dynamic_details[i], registry)});
+  for (const sim::TraceRecord& r : data.events) {
+    events.push_back(sim::TraceEvent{r.time, r.node,
+                                     static_cast<sim::TraceKind>(r.kind),
+                                     sim::RenderTraceDetail(r, registry)});
   }
   return ChromeTraceStringData(data.spans, data.spans_dropped,
                                data.has_trace, events, data.trace_dropped,

@@ -33,9 +33,7 @@ namespace fela::obs {
 ///     u64 count, u64 dropped, u64 capacity
 ///     count * 52-byte records:
 ///       f64 time, u64 args[4], i32 node, u32 token,
-///       u8 kind, u8 arg_count, u8 arg_types, u8 flags
-///     ...each record with (flags & kDynamicDetailFlag) followed by
-///       u32 len + len bytes of dynamic detail text
+///       u8 kind, u8 arg_count, u8 arg_types, u8 flags (reserved, 0)
 ///   trailer "FELAEND\n" (8 bytes)
 ///
 /// A transcript written to disk also carries, after the trailer, the
@@ -61,8 +59,7 @@ struct BinaryTraceData {
   uint64_t spans_dropped = 0;
   uint64_t span_capacity = 0;
 
-  std::vector<sim::TraceRecord> events;       // oldest-first
-  std::vector<std::string> dynamic_details;   // slot-parallel to events
+  std::vector<sim::TraceRecord> events;  // oldest-first
   uint64_t trace_dropped = 0;
   uint64_t trace_capacity = 0;
 
@@ -90,9 +87,10 @@ bool AppendTokenTable(std::string* trace_bytes, std::string* error,
                       const common::TokenRegistry* registry = nullptr);
 
 /// Parses FELATRB1 bytes and the optional FELATOK1 table. Returns false
-/// on a malformed header (bad magic / impossibly short input), on bytes
-/// after the trailer that are not a table, and on a table entry that
-/// breaks the table's order or whose format does not hash to its token.
+/// on a malformed header (bad magic / impossibly short input), on a
+/// trace record whose reserved flags byte is not 0, on bytes after the
+/// trailer that are not a table, and on a table entry that breaks the
+/// table's order or whose format does not hash to its token.
 /// A stream cut off anywhere after the header, the table included,
 /// parses successfully with `out->truncated` set, so a partial
 /// flight-recorder dump is still readable.

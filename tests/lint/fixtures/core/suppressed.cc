@@ -9,8 +9,6 @@ struct Sim {
   void Schedule(double delay, int payload);
 };
 
-common::Status Tidy();
-
 // fela-lint: allow(wall-clock): fixture: suppression on preceding line
 double Wall() { return clock(); }
 
@@ -30,10 +28,6 @@ class Quiet {
   std::unordered_set<int> held_;
 };
 
-void Caller() {
-  Tidy();  // fela-lint: allow(discarded-status): fixture
-}
-
 bool SameTime(double a, double b) {
   return a == b;  // fela-lint: allow(float-eq): fixture
 }
@@ -41,11 +35,6 @@ bool SameTime(double a, double b) {
 void Silent(Sim* sim_) {
   // fela-lint: allow(untraced-event): fixture
   sim_->Schedule(0.0, 0);
-}
-
-void Hush(Sim* trace_) {
-  // fela-lint: allow(untokenized-trace): fixture: genuinely dynamic text
-  FELA_TRACE(trace_, 0.0, 0, 0, "raw detail");
 }
 
 }  // namespace fela::fixture

@@ -30,8 +30,8 @@
 namespace fela::obs {
 namespace {
 
-/// One of everything: tokenized details, detail-less events, a legacy
-/// dynamic-string detail, and enough records to overflow the trace ring.
+/// One of everything: tokenized details with integer and float args,
+/// detail-less events, and enough records to overflow the trace ring.
 struct Artifacts {
   SpanSink spans{8};
   sim::TraceRecorder trace{3};
@@ -45,8 +45,8 @@ struct Artifacts {
     FELA_TRACE(&trace, 0.5, 1, sim::TraceKind::kTokenRequest,
                FELA_TOK("it=%d n=%zu"), 3, static_cast<size_t>(1024));
     FELA_TRACE(&trace, 1.5, 2, sim::TraceKind::kFetchEnd);
-    trace.Record(2.0, 0, sim::TraceKind::kConflict,
-                 std::string("dynamic text"));
+    FELA_TRACE(&trace, 2.0, 0, sim::TraceKind::kConflict,
+               FELA_TOK("lost to w%d after %.3fs"), 2, 0.125);
     // A 4th record on a capacity-3 ring: the oldest event drops and the
     // serialized form must carry the dropped count.
     FELA_TRACE(&trace, 2.5, 0, sim::TraceKind::kSyncEnd);
@@ -70,6 +70,8 @@ TEST(TraceIoTest, RoundTripRendersByteIdenticalText) {
   EXPECT_EQ(data.trace_capacity, 3u);
 
   EXPECT_EQ(RenderTraceText(data), a.trace.ToString());
+  EXPECT_NE(RenderTraceText(data).find("lost to w2 after 0.125s"),
+            std::string::npos);
   EXPECT_EQ(RenderChromeTrace(data), ChromeTraceString(a.spans, &a.trace, 4));
 }
 
@@ -107,10 +109,13 @@ TEST(TraceIoTest, OfflineRegistryFromTokenTableMatchesInProcessRendering) {
   std::string error;
   ASSERT_TRUE(ParseBinaryTrace(bytes, &data, &error)) << error;
   EXPECT_FALSE(data.truncated);
-  // Exactly the tokens the body uses: the "it=%d n=%zu" event dropped
-  // off the ring, so its format stays out although it is registered.
+  // Exactly the tokens the body uses, in token order: the "it=%d n=%zu"
+  // event dropped off the ring, so its format stays out although it is
+  // registered.
   const std::vector<std::pair<uint32_t, std::string>> expected = {
-      {common::TokenHash32("w=%d b=%g"), "w=%d b=%g"}};
+      {common::TokenHash32("w=%d b=%g"), "w=%d b=%g"},
+      {common::TokenHash32("lost to w%d after %.3fs"),
+       "lost to w%d after %.3fs"}};
   EXPECT_EQ(data.tokens, expected);
   common::TokenRegistry offline;
   RegisterTable(data, &offline);
@@ -301,6 +306,22 @@ TEST(TraceIoTest, AppendTokenTableRefusesWhatItCannotDescribe) {
   const std::string once = bytes;
   EXPECT_FALSE(AppendTokenTable(&bytes, &error));
   EXPECT_EQ(bytes, once);
+}
+
+TEST(TraceIoTest, NonzeroReservedFlagsByteIsRejected) {
+  // SerializeBinaryTrace writes every trace record's flags byte as 0;
+  // the byte just before the trailer is the last record's.
+  Artifacts a;
+  std::string bytes = SerializeBinaryTrace(a.spans, &a.trace, 4);
+  const size_t flags = bytes.size() - kBinaryTraceTrailer.size() - 1;
+  ASSERT_EQ(bytes[flags], '\0');
+  bytes[flags] = 1;
+  BinaryTraceData data;
+  std::string error;
+  EXPECT_FALSE(ParseBinaryTrace(bytes, &data, &error));
+  EXPECT_NE(error.find("trace record 2: reserved flags byte is 1"),
+            std::string::npos)
+      << error;
 }
 
 TEST(TraceIoTest, MalformedHeaderIsRejected) {

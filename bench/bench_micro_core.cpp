@@ -147,6 +147,44 @@ void BM_LegacyEventQueueCancelHeavy(benchmark::State& state) {
 }
 BENCHMARK(BM_LegacyEventQueueCancelHeavy)->Arg(1024)->Arg(16384);
 
+// The pipeline-baseline load: 8 devices, each with 512 completions
+// queued at once, finishing in order at its own pace. Through
+// PushInLane only the 8 lane heads sit in the heap; the Push twin
+// carries the same events in a 4096-deep heap. One queue serves every
+// round, as one serves a whole simulation, so the rounds after the
+// first run on warm rings and slab.
+template <bool kInLane>
+void EventQueueLaneLoad(benchmark::State& state) {
+  constexpr int kLanes = 8;
+  constexpr int kPending = 512;
+  sim::EventQueue q;
+  sim::LaneId lanes[kLanes] = {};
+  for (auto _ : state) {
+    for (int k = 1; k <= kPending; ++k) {
+      for (int l = 0; l < kLanes; ++l) {
+        const double when = k * (1.0 + 0.125 * l);
+        if constexpr (kInLane) {
+          q.PushInLane(lanes[l], when, [] {});
+        } else {
+          q.Push(when, [] {});
+        }
+      }
+    }
+    while (!q.empty()) benchmark::DoNotOptimize(q.Pop());
+  }
+  state.SetItemsProcessed(state.iterations() * kLanes * kPending);
+}
+
+void BM_EventQueueLanes(benchmark::State& state) {
+  EventQueueLaneLoad<true>(state);
+}
+BENCHMARK(BM_EventQueueLanes);
+
+void BM_EventQueueLanesViaPush(benchmark::State& state) {
+  EventQueueLaneLoad<false>(state);
+}
+BENCHMARK(BM_EventQueueLanesViaPush);
+
 void BM_SimulatorEventChain(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {

@@ -28,6 +28,7 @@ ElasticMpEngine::ElasticMpEngine(runtime::Cluster* cluster,
       std::max(1, static_cast<int>(std::ceil(total_batch / micro_batch)));
   const int stages = std::min(cluster->num_workers(), model_.layer_count());
   stages_ = model::EqualLayerCountPartition(model_, stages);
+  CacheStageCosts();
   period_busy_start_.assign(static_cast<size_t>(stages), 0.0);
   period_sleep_start_.assign(static_cast<size_t>(stages), 0.0);
 }
@@ -35,6 +36,21 @@ ElasticMpEngine::ElasticMpEngine(runtime::Cluster* cluster,
 double ElasticMpEngine::MicroBatchOf(int micro) const {
   if (micro + 1 < num_micros_) return micro_batch_;
   return total_batch_ - micro_batch_ * static_cast<double>(num_micros_ - 1);
+}
+
+void ElasticMpEngine::CacheStageCosts() {
+  const double last = MicroBatchOf(num_micros_ - 1);
+  stage_cost_.clear();
+  for (const auto& [lo, hi] : stages_) {
+    stage_cost_.push_back(
+        StageCost{cost_.RangeSeconds(model_, lo, hi, micro_batch_),
+                  cost_.RangeSeconds(model_, lo, hi, last)});
+  }
+}
+
+double ElasticMpEngine::StageSeconds(int stage, int micro) const {
+  const StageCost& c = stage_cost_[static_cast<size_t>(stage)];
+  return micro + 1 < num_micros_ ? c.full : c.last;
 }
 
 double ElasticMpEngine::BoundaryBytes(int stage, int micro) const {
@@ -57,9 +73,8 @@ void ElasticMpEngine::Repartition() {
     // the wall seconds the device actually needed (slowdowns inflate
     // busy time; sleeps add on top). This is the profile ElasticPipe's
     // head node would gather.
-    const auto [lo, hi] = stages_[static_cast<size_t>(s)];
     const double nominal_per_iter =
-        cost_.RangeSeconds(model_, lo, hi, micro_batch_) *
+        stage_cost_[static_cast<size_t>(s)].full *
         static_cast<double>(num_micros_);
     const double nominal = nominal_per_iter * profile_period_;
     capacity[static_cast<size_t>(s)] =
@@ -95,6 +110,7 @@ void ElasticMpEngine::Repartition() {
   ranges.emplace_back(start, model_.layer_count() - 1);
   FELA_CHECK_EQ(ranges.size(), stages_.size());
   stages_ = std::move(ranges);
+  CacheStageCosts();
   ++repartition_count_;
 }
 
@@ -129,9 +145,8 @@ void ElasticMpEngine::StartIteration(int iteration) {
 }
 
 void ElasticMpEngine::EnqueueForward(int stage, int micro) {
-  const auto [lo, hi] = stages_[static_cast<size_t>(stage)];
   const double seconds =
-      cost_.RangeSeconds(model_, lo, hi, MicroBatchOf(micro)) * kForwardShare *
+      StageSeconds(stage, micro) * kForwardShare *
       cluster_->stragglers().SlowdownFor(current_iteration_, stage);
   cluster_->gpu(stage).Enqueue(
       seconds, [this, stage, micro] { OnForwardDone(stage, micro); });
@@ -151,10 +166,8 @@ void ElasticMpEngine::OnForwardDone(int stage, int micro) {
 }
 
 void ElasticMpEngine::EnqueueBackward(int stage, int micro) {
-  const auto [lo, hi] = stages_[static_cast<size_t>(stage)];
   const double seconds =
-      cost_.RangeSeconds(model_, lo, hi, MicroBatchOf(micro)) *
-      (1.0 - kForwardShare) *
+      StageSeconds(stage, micro) * (1.0 - kForwardShare) *
       cluster_->stragglers().SlowdownFor(current_iteration_, stage);
   cluster_->gpu(stage).Enqueue(
       seconds, [this, stage, micro] { OnBackwardDone(stage, micro); });

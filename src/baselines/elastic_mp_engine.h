@@ -49,6 +49,10 @@ class ElasticMpEngine : public runtime::Engine {
 
   double BoundaryBytes(int stage, int micro) const;
   double MicroBatchOf(int micro) const;
+  /// RangeSeconds of `stage` at the batch of `micro`, from stage_cost_.
+  double StageSeconds(int stage, int micro) const;
+  /// Fills stage_cost_ for the current stages_.
+  void CacheStageCosts();
 
   runtime::Cluster* cluster_;
   model::Model model_;
@@ -58,6 +62,14 @@ class ElasticMpEngine : public runtime::Engine {
   int num_micros_;
   int profile_period_;
   std::vector<std::pair<int, int>> stages_;
+  /// Per-stage RangeSeconds at the full micro-batch and at the last one,
+  /// which absorbs the remainder: every micro-batch costs one of the two.
+  /// Rebuilt whenever Repartition() moves the stage boundaries.
+  struct StageCost {
+    double full;
+    double last;
+  };
+  std::vector<StageCost> stage_cost_;
 
   // Profiling state: per-worker GPU busy + injected sleep at the start
   // of the current period.

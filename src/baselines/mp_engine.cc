@@ -27,12 +27,28 @@ MpEngine::MpEngine(runtime::Cluster* cluster, const model::Model& model,
   const int stages =
       std::min(cluster->num_workers(), model_.layer_count());
   stages_ = model::EqualLayerCountPartition(model_, stages);
+  CacheStageCosts();
 }
 
 double MpEngine::MicroBatchOf(int micro) const {
   // Last micro-batch absorbs the remainder.
   if (micro + 1 < num_micros_) return micro_batch_;
   return total_batch_ - micro_batch_ * static_cast<double>(num_micros_ - 1);
+}
+
+void MpEngine::CacheStageCosts() {
+  const double last = MicroBatchOf(num_micros_ - 1);
+  stage_cost_.clear();
+  for (const auto& [lo, hi] : stages_) {
+    stage_cost_.push_back(
+        StageCost{cost_.RangeSeconds(model_, lo, hi, micro_batch_),
+                  cost_.RangeSeconds(model_, lo, hi, last)});
+  }
+}
+
+double MpEngine::StageSeconds(int stage, int micro) const {
+  const StageCost& c = stage_cost_[static_cast<size_t>(stage)];
+  return micro + 1 < num_micros_ ? c.full : c.last;
 }
 
 double MpEngine::BoundaryBytes(int stage, int micro) const {
@@ -61,9 +77,8 @@ void MpEngine::StartIteration(int iteration) {
 }
 
 void MpEngine::EnqueueForward(int stage, int micro) {
-  const auto [lo, hi] = stages_[static_cast<size_t>(stage)];
   const double seconds =
-      cost_.RangeSeconds(model_, lo, hi, MicroBatchOf(micro)) * kForwardShare *
+      StageSeconds(stage, micro) * kForwardShare *
       cluster_->stragglers().SlowdownFor(current_iteration_, stage);
   cluster_->gpu(stage).Enqueue(
       seconds, [this, stage, micro] { OnForwardDone(stage, micro); });
@@ -89,10 +104,8 @@ void MpEngine::OnForwardDone(int stage, int micro) {
 }
 
 void MpEngine::EnqueueBackward(int stage, int micro) {
-  const auto [lo, hi] = stages_[static_cast<size_t>(stage)];
   const double seconds =
-      cost_.RangeSeconds(model_, lo, hi, MicroBatchOf(micro)) *
-      (1.0 - kForwardShare) *
+      StageSeconds(stage, micro) * (1.0 - kForwardShare) *
       cluster_->stragglers().SlowdownFor(current_iteration_, stage);
   cluster_->gpu(stage).Enqueue(
       seconds, [this, stage, micro] { OnBackwardDone(stage, micro); });

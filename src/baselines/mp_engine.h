@@ -46,6 +46,10 @@ class MpEngine : public runtime::Engine {
   /// Boundary activation bytes for one micro-batch entering `stage`.
   double BoundaryBytes(int stage, int micro) const;
   double MicroBatchOf(int micro) const;
+  /// RangeSeconds of `stage` at the batch of `micro`, from stage_cost_.
+  double StageSeconds(int stage, int micro) const;
+  /// Fills stage_cost_ for the current stages_.
+  void CacheStageCosts();
 
   runtime::Cluster* cluster_;
   model::Model model_;
@@ -54,6 +58,13 @@ class MpEngine : public runtime::Engine {
   double micro_batch_;
   int num_micros_;
   std::vector<std::pair<int, int>> stages_;  // inclusive layer ranges
+  /// Per-stage RangeSeconds at the full micro-batch and at the last one,
+  /// which absorbs the remainder: every micro-batch costs one of the two.
+  struct StageCost {
+    double full;
+    double last;
+  };
+  std::vector<StageCost> stage_cost_;
 
   int target_iterations_ = 0;
   int current_iteration_ = 0;

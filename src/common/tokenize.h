@@ -124,12 +124,38 @@ struct TokArgs {
   }
 };
 
+namespace internal_tokenize {
+struct TokSite;
+}  // namespace internal_tokenize
+
 /// What FELA_TOK yields: the compile-time token plus the literal it
-/// hashes (kept for in-process registration and rendering).
-struct TokenizedFmt {
-  uint32_t token;
-  const char* fmt;
+/// hashes (kept for in-process registration and rendering). The
+/// constructor is private and only FELA_TOK reaches it, so a token is
+/// never hand-built: it is the hash of a literal that FELA_TOK checked
+/// against the format policy.
+class TokenizedFmt {
+ public:
+  constexpr uint32_t token() const { return token_; }
+  constexpr const char* fmt() const { return fmt_; }
+
+ private:
+  friend struct internal_tokenize::TokSite;
+  constexpr TokenizedFmt(uint32_t token, const char* fmt)
+      : token_(token), fmt_(fmt) {}
+
+  uint32_t token_;
+  const char* fmt_;
 };
+
+namespace internal_tokenize {
+/// FELA_TOK's way in: hashes the literal at compile time, so the token
+/// of every TokenizedFmt is the hash of its own text.
+struct TokSite {
+  static consteval TokenizedFmt Make(const char* fmt) {
+    return TokenizedFmt(TokenHash32(fmt), fmt);
+  }
+};
+}  // namespace internal_tokenize
 
 /// The stored form of a trace/span detail. token == 0 means "no
 /// detail"; construction from FELA_TOK packs the args immediately, so
@@ -140,7 +166,7 @@ struct TokenizedDetail {
 
   TokenizedDetail() = default;
   template <typename... Args>
-  explicit TokenizedDetail(TokenizedFmt fmt, Args... a) : token(fmt.token) {
+  explicit TokenizedDetail(TokenizedFmt fmt, Args... a) : token(fmt.token()) {
     static_assert(sizeof...(Args) <= 4,
                   "tokenized details pack at most 4 args");
     (args.Push(a), ...);
@@ -209,12 +235,13 @@ bool RegisterSiteOrDie(uint32_t token, const char* fmt);
     static_assert(::fela::common::IsTokenizableFormat(fmt),                 \
                   "FELA_TOK format breaks the tokenized-format policy "     \
                   "(see IsTokenizableFormat)");                             \
-    constexpr uint32_t fela_tok_hash_ = ::fela::common::TokenHash32(fmt);   \
+    constexpr ::fela::common::TokenizedFmt fela_tok_fmt_ =                  \
+        ::fela::common::internal_tokenize::TokSite::Make(fmt);              \
     static const bool fela_tok_registered_ =                                \
-        ::fela::common::internal_tokenize::RegisterSiteOrDie(fela_tok_hash_, \
-                                                             fmt);          \
+        ::fela::common::internal_tokenize::RegisterSiteOrDie(               \
+            fela_tok_fmt_.token(), fmt);                                    \
     (void)fela_tok_registered_;                                             \
-    return ::fela::common::TokenizedFmt{fela_tok_hash_, fmt};               \
+    return fela_tok_fmt_;                                                   \
   }())
 
 #endif  // FELA_COMMON_TOKENIZE_H_

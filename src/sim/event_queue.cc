@@ -68,7 +68,7 @@ EventId EventQueue::Push(SimTime when, EventFn fn) {
     slot = free_.back();
     free_.pop_back();
   } else {
-    FELA_CHECK_LT(slot_count_, static_cast<uint32_t>(kSlotMask));
+    FELA_CHECK_LT(slot_count_, static_cast<uint32_t>(kLaneTag));
     if (slot_count_ == slot_capacity_) AddSegment();
     slot = slot_count_++;
   }
@@ -82,6 +82,45 @@ EventId EventQueue::Push(SimTime when, EventFn fn) {
   SiftUp(heap_.size() - 1);
   ++size_;
   return key;
+}
+
+void EventQueue::GrowLane(Lane& lane) {
+  const size_t cap = lane.ring.size();
+  std::vector<LaneItem> ring(cap == 0 ? 1 : 2 * cap);
+  for (uint32_t i = 0; i < lane.count; ++i) {
+    ring[i] = std::move(lane.ring[(lane.head + i) & (cap - 1)]);
+  }
+  lane.ring.swap(ring);
+  lane.head = 0;
+}
+
+void EventQueue::PushInLane(LaneId& lane, SimTime when, EventFn fn) {
+  FELA_CHECK_GE(when, 0.0);  // bit-ordered times require non-negative
+  if (lane == kNoLane) {
+    FELA_CHECK_LT(lanes_.size(), kLaneTag);
+    lanes_.emplace_back();
+    lane = static_cast<LaneId>(lanes_.size());
+  }
+  const uint32_t index = lane - 1;
+  Lane& l = lanes_[index];
+  const uint64_t bits = TimeBits(when);
+  if (l.count != 0 && bits < l.tail_bits) {
+    // Out of lane order: the heap orders it against everything else.
+    Push(when, std::move(fn));
+    return;
+  }
+  FELA_CHECK_LT(next_seq_, kMaxSeq);
+  const Entry e{bits, (next_seq_++ << kSlotBits) | kLaneTag | index};
+  if (l.count == l.ring.size()) GrowLane(l);
+  LaneItem& item = l.ring[(l.head + l.count) & (l.ring.size() - 1)];
+  item.entry = e;
+  item.fn = std::move(fn);
+  l.tail_bits = bits;
+  if (l.count++ == 0) {
+    heap_.push_back(e);
+    SiftUp(heap_.size() - 1);
+  }
+  ++size_;
 }
 
 bool EventQueue::Cancel(EventId id) {
@@ -137,10 +176,27 @@ SimTime EventQueue::PeekTime() const {
   return BitsTime(heap_.front().when_bits);
 }
 
+std::pair<SimTime, EventFn> EventQueue::PopLane(const Entry& top) {
+  Lane& l = lanes_[top.key & (kLaneTag - 1)];
+  std::pair<SimTime, EventFn> out{BitsTime(top.when_bits),
+                                  std::move(l.ring[l.head].fn)};
+  l.head = (l.head + 1) & static_cast<uint32_t>(l.ring.size() - 1);
+  if (--l.count != 0) {
+    // The lane's next event is no earlier than the one it replaces.
+    heap_.front() = l.ring[l.head].entry;
+    SiftDown(0);
+  } else {
+    PopRoot();
+  }
+  --size_;
+  return out;
+}
+
 std::pair<SimTime, EventFn> EventQueue::Pop() {
   SkipDead();
   FELA_CHECK(!heap_.empty());
   const Entry top = heap_.front();
+  if ((top.key & kLaneTag) != 0) return PopLane(top);
   const uint32_t slot = static_cast<uint32_t>(top.key & kSlotMask);
   Slot& s = SlotAt(slot);
   // Pull the slot's cache line in while the sift-down below runs; the

@@ -44,6 +44,17 @@ namespace fela::sim {
 /// whenever dead entries outnumber live ones, so the footprint stays
 /// proportional to the number of live events even under pathological
 /// push/cancel churn (constantly re-armed retry timers).
+///
+/// FIFO lanes serve producers whose completion times never decrease (a
+/// device's kernel queue, a NIC's outbound link). A lane event takes its
+/// sequence number at push time like any other, but waits in its lane's
+/// own FIFO; only the lane head sits in the heap. Popping a head refills
+/// the root from the same lane: one sift-down instead of a pop plus a
+/// push, and a heap no deeper than the number of busy lanes. Within a
+/// lane both time and sequence number only grow, so the lane head is the
+/// lane's (time, key) minimum and the global pop order is exactly the
+/// plain heap's. A push earlier than its lane's newest pending event
+/// falls back to the heap. Lane events cannot be cancelled.
 class EventQueue {
  public:
   EventQueue() = default;
@@ -53,6 +64,12 @@ class EventQueue {
 
   /// Enqueues `fn` to fire at absolute time `when`. Returns a handle.
   EventId Push(SimTime when, EventFn fn);
+
+  /// Enqueues `fn` at `when` in the FIFO lane `lane`, creating the lane
+  /// (and storing its handle in `lane`) when `lane` is kNoLane. Pops in
+  /// the same (time, insertion) order as Push; cheaper when the lane's
+  /// pushes come in nondecreasing time order.
+  void PushInLane(LaneId& lane, SimTime when, EventFn fn);
 
   /// Cancels a pending event in O(1); returns false if it already
   /// fired, was already cancelled, or the handle is unknown. The
@@ -80,10 +97,14 @@ class EventQueue {
   /// Key layout: (seq << kSlotBits) | slot. Comparing keys compares
   /// seq first — the deterministic tie-break — because seq occupies the
   /// high bits and is globally unique. seq starts at 1, so no valid key
-  /// collides with kInvalidEventId; 40 bits of seq and 24 bits of slot
-  /// allow ~10^12 events per queue and ~16M concurrently pending.
+  /// collides with kInvalidEventId; 40 bits of seq allow ~10^12 events
+  /// per queue. The slot field's top bit tags lane entries, whose low
+  /// bits then hold the lane index instead of a slab slot: ~8M slab
+  /// events can be pending at once, in up to ~8M lanes. The tag sits
+  /// below seq, so it cannot change the order.
   static constexpr uint32_t kSlotBits = 24;
   static constexpr uint64_t kSlotMask = (uint64_t{1} << kSlotBits) - 1;
+  static constexpr uint64_t kLaneTag = uint64_t{1} << (kSlotBits - 1);
   static constexpr uint64_t kMaxSeq = uint64_t{1} << (64 - kSlotBits);
   /// First slab segment holds 2^kSeg0Bits slots; segment m holds
   /// 2^(kSeg0Bits + m).
@@ -139,9 +160,32 @@ class EventQueue {
     return const_cast<EventQueue*>(this)->SlotAt(slot);
   }
 
+  /// Lane entries are never cancelled, so a tagged entry is live.
   bool EntryLive(const Entry& e) const {
-    return SlotAt(static_cast<uint32_t>(e.key & kSlotMask)).key == e.key;
+    return (e.key & kLaneTag) != 0 ||
+           SlotAt(static_cast<uint32_t>(e.key & kSlotMask)).key == e.key;
   }
+
+  /// One pending lane event; only the FIFO head's entry is in the heap.
+  struct LaneItem {
+    Entry entry;
+    EventFn fn;
+  };
+  /// Ring buffer of a lane's pending events in push order. Lane events
+  /// live here rather than in the slab: they need no handle, and the
+  /// FIFO keeps a busy device's completions on a few adjacent lines.
+  struct Lane {
+    std::vector<LaneItem> ring;  // power-of-two capacity
+    uint32_t head = 0;
+    uint32_t count = 0;
+    uint64_t tail_bits = 0;  // time bits of the newest pending event
+  };
+
+  /// Doubles a full lane's ring, unwrapping it to start at 0.
+  static void GrowLane(Lane& lane);
+
+  /// Pops the lane head at the root and refills the root from its lane.
+  std::pair<SimTime, EventFn> PopLane(const Entry& top);
 
   /// Appends a fresh segment; existing slots never move.
   void AddSegment();
@@ -163,6 +207,8 @@ class EventQueue {
 
   std::vector<Entry> heap_;  // 4-ary min-heap, earliest at front
   std::vector<std::unique_ptr<Slot[]>> segs_;
+  /// Created on first push, so owners that never push cost nothing.
+  std::vector<Lane> lanes_;
   std::vector<uint32_t> free_;
   uint32_t slot_count_ = 0;     // constructed slots across all segments
   uint32_t slot_capacity_ = 0;  // total slots the segments can hold

@@ -13,6 +13,7 @@ Fabric::Fabric(Simulator* sim, int num_nodes, const Calibration& cal)
       cal_(cal),
       out_free_(num_nodes, 0.0),
       in_free_(num_nodes, 0.0),
+      out_lane_(num_nodes, kNoLane),
       bytes_sent_(num_nodes, 0.0),
       bytes_received_(num_nodes, 0.0),
       out_busy_(num_nodes, 0.0),
@@ -87,7 +88,7 @@ void Fabric::Transfer(NodeId src, NodeId dst, double bytes, EventFn done) {
   if (spans_ != nullptr && spans_->enabled()) {
     spans_->Emit(obs::Span{dst, obs::Phase::kTransfer, start, finish, -1, {}});
   }
-  sim_->ScheduleAt(finish, std::move(done));
+  sim_->ScheduleInLane(out_lane_[src], finish, std::move(done));
 }
 
 void Fabric::SetFaults(const FaultSchedule* faults, TraceRecorder* trace) {

@@ -100,6 +100,10 @@ class Fabric {
   uint64_t control_seq_ = 0;
   std::vector<SimTime> out_free_;
   std::vector<SimTime> in_free_;
+  /// One completion lane per source node: a transfer starts no earlier
+  /// than out_free_[src], the previous finish from src, so finishes
+  /// from one source never decrease.
+  std::vector<LaneId> out_lane_;
   /// Per-rack uplink/downlink FIFO channels; sized NumRacks, empty on the
   /// flat star (where no rack channel exists to contend on).
   std::vector<SimTime> rack_up_free_;

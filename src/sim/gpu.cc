@@ -18,7 +18,7 @@ void GpuDevice::Enqueue(double duration, EventFn done) {
   if (spans_ != nullptr && spans_->enabled() && duration > 0.0) {
     spans_->Emit(obs::Span{node_, obs::Phase::kCompute, start, finish, -1, {}});
   }
-  sim_->ScheduleAt(finish, std::move(done));
+  sim_->ScheduleInLane(lane_, finish, std::move(done));
 }
 
 void GpuDevice::BlockUntil(SimTime until, obs::Phase phase) {

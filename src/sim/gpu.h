@@ -52,6 +52,9 @@ class GpuDevice {
   NodeId node_;
   obs::SpanSink* spans_ = nullptr;
   SimTime free_at_ = 0.0;
+  /// Completions finish in submission order (free_at_ only grows), so
+  /// they queue in one FIFO lane.
+  LaneId lane_ = kNoLane;
   double busy_time_ = 0.0;
   double injected_sleep_ = 0.0;
 };

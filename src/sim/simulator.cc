@@ -16,6 +16,11 @@ EventId Simulator::ScheduleAt(SimTime when, EventFn fn) {
   return queue_.Push(when, std::move(fn));
 }
 
+void Simulator::ScheduleInLane(LaneId& lane, SimTime when, EventFn fn) {
+  FELA_CHECK_GE(when, now_);
+  queue_.PushInLane(lane, when, std::move(fn));
+}
+
 bool Simulator::Step() {
   if (queue_.empty()) return false;
   auto [when, fn] = queue_.Pop();

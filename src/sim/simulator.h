@@ -28,6 +28,12 @@ class Simulator {
   /// Schedules `fn` at absolute time `when` (>= now()).
   EventId ScheduleAt(SimTime when, EventFn fn);
 
+  /// Schedules `fn` at absolute time `when` (>= now()) in the FIFO lane
+  /// `lane` (see EventQueue::PushInLane): for owners whose completions
+  /// come in nondecreasing time order. Same firing order as ScheduleAt;
+  /// the event cannot be cancelled.
+  void ScheduleInLane(LaneId& lane, SimTime when, EventFn fn);
+
   /// Cancels a pending event.
   bool Cancel(EventId id) { return queue_.Cancel(id); }
 

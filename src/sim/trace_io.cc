@@ -67,7 +67,8 @@ bool Fail(std::string* error, std::string message) {
 // Reads the body after the header, trailer included, and sets `*end`
 // just past the trailer. A stream cut anywhere keeps what parsed and
 // sets `out->truncated`. Returns false only on a record
-// SerializeBinaryTrace never writes: a nonzero reserved flags byte.
+// SerializeBinaryTrace never writes: a nonzero span pad byte or trace
+// record flags byte.
 bool ParseBody(std::string_view bytes, size_t pos, BinaryTraceData* out,
                size_t* end, std::string* error) {
   const auto cut = [out] {
@@ -98,6 +99,12 @@ bool ParseBody(std::string_view bytes, size_t pos, BinaryTraceData* out,
         !binio::ReadU8(bytes, &pos, &s.detail.args.types) ||
         !binio::ReadU8(bytes, &pos, &pad)) {
       return cut();
+    }
+    if (pad != 0) {
+      return Fail(error, common::StrFormat(
+                             "span %llu: pad byte is %u, not 0",
+                             static_cast<unsigned long long>(i),
+                             static_cast<unsigned>(pad)));
     }
     s.phase = static_cast<Phase>(phase);
     out->spans.push_back(s);

@@ -88,7 +88,8 @@ bool AppendTokenTable(std::string* trace_bytes, std::string* error,
 
 /// Parses FELATRB1 bytes and the optional FELATOK1 table. Returns false
 /// on a malformed header (bad magic / impossibly short input), on a
-/// trace record whose reserved flags byte is not 0, on bytes after the
+/// span whose pad byte or a trace record whose reserved flags byte is
+/// not 0, on bytes after the
 /// trailer that are not a table, and on a table entry that breaks the
 /// table's order or whose format does not hash to its token.
 /// A stream cut off anywhere after the header, the table included,

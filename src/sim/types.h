@@ -38,6 +38,12 @@ using EventId = uint64_t;
 
 inline constexpr EventId kInvalidEventId = 0;
 
+/// Handle of an event-queue FIFO lane (Simulator::ScheduleInLane). An
+/// owner starts from kNoLane; the first push creates the lane.
+using LaneId = uint32_t;
+
+inline constexpr LaneId kNoLane = 0;
+
 }  // namespace fela::sim
 
 #endif  // FELA_SIM_TYPES_H_

@@ -27,11 +27,13 @@ static_assert(!IsTokenizableFormat("name=%s"));
 static_assert(!IsTokenizableFormat("%d %d %d %d %d"));
 static_assert(!IsTokenizableFormat("dangling %"));
 
-/// Packs `args` exactly as a FELA_TOK call site would and re-renders.
+/// Packs `args` exactly as a FELA_TOK call site's TokenizedDetail would
+/// and re-renders.
 template <typename... Args>
 std::string Detok(const char* fmt, Args... args) {
-  const TokenizedDetail detail(TokenizedFmt{TokenHash32(fmt), fmt}, args...);
-  return DetokFormat(fmt, detail.args);
+  TokArgs packed;
+  (packed.Push(args), ...);
+  return DetokFormat(fmt, packed);
 }
 
 TEST(TokenHashTest, MatchesFnv1aReferenceValues) {
@@ -91,8 +93,8 @@ TEST(TokenRegistryTest, RegisterDetectsCollisions) {
 
 TEST(TokenMacroTest, FelaTokYieldsHashAndRegistersGlobally) {
   const TokenizedFmt fmt = FELA_TOK("tokenize_test unique %d");
-  EXPECT_EQ(fmt.token, TokenHash32("tokenize_test unique %d"));
-  const std::string* found = TokenRegistry::Global().Find(fmt.token);
+  EXPECT_EQ(fmt.token(), TokenHash32("tokenize_test unique %d"));
+  const std::string* found = TokenRegistry::Global().Find(fmt.token());
   ASSERT_NE(found, nullptr);
   EXPECT_EQ(*found, "tokenize_test unique %d");
 }
@@ -138,7 +140,8 @@ TEST(DetokFormatTest, UnpackableSpecsSurfaceVerbatim) {
 TEST(DetokenizeTest, EmptyAndUnknownTokensRenderHonestly) {
   TokenRegistry registry;  // deliberately empty
   EXPECT_EQ(Detokenize(TokenizedDetail{}, &registry), "");
-  TokenizedDetail unknown(TokenizedFmt{0xffu, "?"});
+  TokenizedDetail unknown;  // as parsed from a transcript with no table
+  unknown.token = 0xffu;
   EXPECT_EQ(Detokenize(unknown, &registry), "<token 000000ff?>");
 }
 

@@ -43,6 +43,15 @@ void TraceArg(sim::TraceRecorder* t, int it) {
 #endif
 }
 
+void HandBuiltFmt(sim::TraceRecorder* t) {
+#if defined(FELA_CF_HAND_BUILT_FMT)
+  FELA_TRACE(t, 0.0, 0, sim::TraceKind::kConflict,
+             common::TokenizedFmt{0xffu, "raw"});
+#else
+  FELA_TRACE(t, 0.0, 0, sim::TraceKind::kConflict, FELA_TOK("raw"));
+#endif
+}
+
 void EmitDetail(obs::SpanSink* s) {
 #if defined(FELA_CF_EMIT_LITERAL)
   s->Emit(obs::Span{0, obs::Phase::kCompute, 0.0, 1.0, 0, "w"});

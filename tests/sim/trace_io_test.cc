@@ -324,6 +324,21 @@ TEST(TraceIoTest, NonzeroReservedFlagsByteIsRejected) {
       << error;
 }
 
+TEST(TraceIoTest, NonzeroSpanPadByteIsRejected) {
+  // Without a trace recorder the body ends with the spans, so the byte
+  // just before the trailer is the last span's pad.
+  Artifacts a;
+  std::string bytes = SerializeBinaryTrace(a.spans, nullptr, 4);
+  const size_t pad = bytes.size() - kBinaryTraceTrailer.size() - 1;
+  ASSERT_EQ(bytes[pad], '\0');
+  bytes[pad] = 7;
+  BinaryTraceData data;
+  std::string error;
+  EXPECT_FALSE(ParseBinaryTrace(bytes, &data, &error));
+  EXPECT_NE(error.find("span 1: pad byte is 7, not 0"), std::string::npos)
+      << error;
+}
+
 TEST(TraceIoTest, MalformedHeaderIsRejected) {
   BinaryTraceData data;
   std::string error;

@@ -25,7 +25,9 @@
 #include "runtime/determinism.h"
 #include "runtime/sweep.h"
 #include "sim/simulator.h"
+#include "sim/trace_io.h"
 #include "suite/suite.h"
+#include "testing/observability_reference.h"
 
 namespace {
 
@@ -405,6 +407,89 @@ void BM_LegacyTraceRecorderRecordText(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_LegacyTraceRecorderRecordText);
+
+/// Details shaped like the FELA_TOK sites in src/ (formats and args),
+/// rendered in a loop by the two detokenizer benches.
+struct DetokCase {
+  std::string fmt;
+  common::TokArgs args;
+};
+
+const std::vector<DetokCase>& DetokCases() {
+  static const std::vector<DetokCase>* cases = [] {
+    auto* out = new std::vector<DetokCase>();
+    const auto add = [out](std::string fmt, auto... args) {
+      DetokCase c{std::move(fmt), {}};
+      (c.args.Push(args), ...);
+      out->push_back(std::move(c));
+    };
+    add("it=%d", 41);
+    add("src=%d seq=%llu", 17, 123456789ULL);
+    add("Token_%lld b=%g dur=%.4fs", 1234LL, 32.0, 0.0123456);
+    add("Token_%lld b=%g stolen=%d remote_fetches=%zu", 99LL, 12.5, 1,
+        size_t{3});
+    add("SM-%d %.1fMB among %zu", 7, 574.96, size_t{8});
+    add("it=%d d=%.2fs", 12, 4.0);
+    return out;
+  }();
+  return *cases;
+}
+
+// The detokenizer as the Chrome exporter runs it: every detail appended
+// to one reused buffer, plain conversions through to_chars.
+void BM_DetokFormat(benchmark::State& state) {
+  const std::vector<DetokCase>& cases = DetokCases();
+  std::string out;
+  for (auto _ : state) {
+    for (const DetokCase& c : cases) {
+      out.clear();
+      common::AppendDetokFormat(&out, c.fmt, c.args);
+      benchmark::DoNotOptimize(out.data());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(cases.size()));
+}
+BENCHMARK(BM_DetokFormat);
+
+// The snprintf-only detokenizer it replaced, kept as the test oracle
+// (testing::ReferenceDetokFormat): a fresh string per detail, three
+// std::string specs per conversion, one append per literal byte.
+void BM_LegacyDetokFormat(benchmark::State& state) {
+  const std::vector<DetokCase>& cases = DetokCases();
+  for (auto _ : state) {
+    for (const DetokCase& c : cases) {
+      benchmark::DoNotOptimize(
+          fela::testing::ReferenceDetokFormat(c.fmt, c.args));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(cases.size()));
+}
+BENCHMARK(BM_LegacyDetokFormat);
+
+// FELATRB1 serialization of a fixed synthetic run: 20K spans and 20K
+// trace records, both rings wrapped once so flattening copies two
+// ranges. Items are encoded records.
+void BM_SerializeBinaryTrace(benchmark::State& state) {
+  constexpr int kRecords = 20000;
+  obs::SpanSink spans(/*capacity=*/kRecords);
+  sim::TraceRecorder trace(/*capacity=*/kRecords);
+  spans.set_enabled(true);
+  trace.set_enabled(true);
+  for (int i = 0; i < kRecords + kRecords / 4; ++i) {
+    const double t = 1e-3 * i;
+    spans.Emit(obs::Span{i % 128, obs::Phase::kCompute, t, t + 5e-4, i / 128,
+                         common::TokenizedDetail(FELA_TOK("it=%d"), i)});
+    FELA_TRACE(&trace, t, i % 128, sim::TraceKind::kTokenGrant,
+               FELA_TOK("Token_%lld b=%g"), static_cast<long long>(i), 32.0);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(obs::SerializeBinaryTrace(spans, &trace, 128));
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * kRecords);
+}
+BENCHMARK(BM_SerializeBinaryTrace);
 
 /// One observed GoogLeNet run shared by the transcript benches (built
 /// once — the benches measure transcript serialization, not the run).

@@ -151,13 +151,22 @@ int main(int argc, char** argv) {
   std::printf(
       "(the single-server PS funnels 2 * N * 575 MB through one NIC per\n"
       " iteration — Table II's centralized bottleneck.)\n");
+  const runtime::StragglerFactory transient =
+      [](int n) -> std::unique_ptr<sim::StragglerSchedule> {
+    return std::make_unique<sim::TransientStragglers>(n, 4.0, 3, 7);
+  };
   runtime::ExperimentSpec gate;
   gate.total_batch = 256;
   gate.iterations = 4;
   const int rc = bench::VerifyDeterminismGate(
       opts, "reactive_vs_proactive", gate, suite::PsDpFactory(m, 4),
-      [](int n) -> std::unique_ptr<sim::StragglerSchedule> {
-        return std::make_unique<sim::TransientStragglers>(n, 4.0, 3, 7);
-      });
-  return bench::FinishBench(opts, report) | rc;
+      transient);
+  // Seven iterations reach ElasticMP's first re-partition (its default
+  // profile period is 5), so the gate covers the stage-cost rebuild.
+  runtime::ExperimentSpec emp_gate = gate;
+  emp_gate.iterations = 7;
+  const int emp_rc = bench::VerifyDeterminismGate(
+      opts, "reactive_vs_proactive.elastic_mp", emp_gate,
+      suite::ElasticMpFactory(m), transient);
+  return bench::FinishBench(opts, report) | rc | emp_rc;
 }

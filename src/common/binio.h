@@ -13,21 +13,50 @@ namespace fela::common {
 /// structs) so the encoded bytes are identical on every platform and
 /// never depend on struct padding — a prerequisite for hashing the
 /// binary form in determinism checks.
+///
+/// Store* write one value at `p` and return the byte past it, so a
+/// fixed-width record is laid out in a stack buffer and appended whole.
+/// Append* store one value in a local buffer and append it in one call,
+/// never one byte at a time; writers that know their output size
+/// reserve it up front.
+
+inline char* StoreU8(char* p, uint8_t v) {
+  *p = static_cast<char>(v);
+  return p + 1;
+}
+
+inline char* StoreU32(char* p, uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  return p + 4;
+}
+
+inline char* StoreU64(char* p, uint64_t v) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  return p + 8;
+}
+
+inline char* StoreI32(char* p, int32_t v) {
+  return StoreU32(p, static_cast<uint32_t>(v));
+}
+
+inline char* StoreF64(char* p, double v) {
+  return StoreU64(p, std::bit_cast<uint64_t>(v));
+}
 
 inline void AppendU8(std::string* out, uint8_t v) {
   out->push_back(static_cast<char>(v));
 }
 
 inline void AppendU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
+  char bytes[4];
+  StoreU32(bytes, v);
+  out->append(bytes, sizeof(bytes));
 }
 
 inline void AppendU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
+  char bytes[8];
+  StoreU64(bytes, v);
+  out->append(bytes, sizeof(bytes));
 }
 
 inline void AppendI32(std::string* out, int32_t v) {

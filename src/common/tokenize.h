@@ -34,8 +34,8 @@ constexpr uint32_t TokenHash32(std::string_view s) {
 }
 
 namespace internal_tokenize {
-// The printf conversion grammar DetokFormat renders and FELA_TOK admits:
-// %[flags][width][.precision][length]conv.
+// The printf conversion grammar AppendDetokFormat renders and FELA_TOK
+// admits: %[flags][width][.precision][length]conv.
 constexpr bool IsFlag(char c) {
   return c == '-' || c == '+' || c == ' ' || c == '#' || c == '0';
 }
@@ -54,10 +54,11 @@ constexpr bool IsFloatConv(char c) {
 }  // namespace internal_tokenize
 
 /// The format policy FELA_TOK enforces at compile time: every conversion
-/// is one DetokFormat renders from a packed numeric slot (an integer
-/// conversion diuoxXc or a float conversion fFeEgGaA, so never %s, %p or
-/// %n), no '%' dangles at the end, and there are at most 4 conversions
-/// (the TokArgs slots). "%%" is a literal percent, not a conversion.
+/// is one AppendDetokFormat renders from a packed numeric slot (an
+/// integer conversion diuoxXc or a float conversion fFeEgGaA, so never
+/// %s, %p or %n), no '%' dangles at the end, and there are at most 4
+/// conversions (the TokArgs slots). "%%" is a literal percent, not a
+/// conversion.
 consteval bool IsTokenizableFormat(std::string_view fmt) {
   int conversions = 0;
   size_t i = 0;
@@ -197,17 +198,32 @@ class TokenRegistry {
   std::map<uint32_t, std::string> entries_ FELA_GUARDED_BY(mu_);
 };
 
-/// Renders `fmt` with the packed args, byte-identical to what the
-/// original printf-family call would have produced: integer conversions
-/// are re-run at 64-bit width (`%d` -> `%lld` etc. — same digits for
-/// every in-range value), floats as double. `%%` passes through; `%s`
-/// and other non-packable conversions render as their literal spec text
-/// (IsTokenizableFormat keeps them out of FELA_TOK sites at compile time).
+/// Appends `fmt` rendered with the packed args, byte-identical to what
+/// the original printf-family call would have produced: integer
+/// conversions are re-run at 64-bit width (`%d` -> `%lld` etc. — same
+/// digits for every in-range value), floats as double. `%%` passes
+/// through; `%s` and other non-packable conversions render as their
+/// literal spec text (IsTokenizableFormat keeps them out of FELA_TOK
+/// sites at compile time).
+///
+/// A conversion with no flag and no width takes std::to_chars, which
+/// writes printf's bytes in the C locale: `d i u x`, and `f e g` with or
+/// without a `.precision`. Every other conversion (`c X o`, `F E G a A`,
+/// any flag, width or integer precision) goes through snprintf with a
+/// spec built on the stack. Literal runs are copied with one append.
+void AppendDetokFormat(std::string* out, std::string_view fmt,
+                       const TokArgs& args);
+
+/// AppendDetokFormat into a fresh string.
 std::string DetokFormat(const std::string& fmt, const TokArgs& args);
 
-/// Renders a stored detail via `registry` (the process-global one when
-/// null). An empty detail renders as ""; an unknown token renders as
-/// "<token %08x?>" so a missing format is visible, not silent.
+/// Appends a stored detail rendered via `registry` (the process-global
+/// one when null). An empty detail appends nothing; an unknown token
+/// appends "<token %08x?>" so a missing format is visible, not silent.
+void AppendDetokenized(std::string* out, const TokenizedDetail& detail,
+                       const TokenRegistry* registry = nullptr);
+
+/// AppendDetokenized into a fresh string.
 std::string Detokenize(const TokenizedDetail& detail,
                        const TokenRegistry* registry = nullptr);
 

@@ -74,7 +74,16 @@ std::string DeterminismTranscript(const ExperimentResult& result) {
 
 std::string BinaryTranscript(const ExperimentResult& result) {
   namespace binio = ::fela::common;
+  const std::string csv =
+      result.observed ? result.metrics.ToCsv() : std::string();
+  // Exact size: magic, name length and name, two flags, 6 run scalars,
+  // 14 fault fields, the iteration count and (start, end) per iteration,
+  // then the observed sections with their u64 length prefixes.
   std::string out;
+  out.reserve(8 + 4 + result.engine_name.size() + 2 + 8 * (6 + 14 + 1) +
+              16 * result.stats.iterations.size() +
+              (result.observed ? 16 + csv.size() + result.binary_trace.size()
+                               : 0));
   out += "FELADET1";
   binio::AppendU32(&out, static_cast<uint32_t>(result.engine_name.size()));
   out += result.engine_name;
@@ -109,7 +118,6 @@ std::string BinaryTranscript(const ExperimentResult& result) {
     binio::AppendF64(&out, it.end);
   }
   if (result.observed) {
-    const std::string csv = result.metrics.ToCsv();
     binio::AppendU64(&out, csv.size());
     out += csv;
     binio::AppendU64(&out, result.binary_trace.size());

@@ -28,7 +28,7 @@ std::string TrackName(int track, int num_workers) {
 // literals below carry the separators and indents along with the keys.
 std::string ChromeTraceStringData(const std::vector<Span>& spans,
                                   uint64_t spans_dropped, bool has_trace,
-                                  const std::vector<sim::TraceEvent>& events,
+                                  const std::vector<sim::TraceRecord>& events,
                                   uint64_t events_dropped, int num_workers,
                                   const common::TokenRegistry* registry) {
   std::string out;
@@ -41,6 +41,7 @@ std::string ChromeTraceStringData(const std::vector<Span>& spans,
   const auto put_string = [&out](std::string_view s) {
     common::AppendJsonString(&out, s);
   };
+  std::string detail;  // scratch: one rendered detail at a time
   bool first_event = true;
   // Opens the next traceEvents element, up to its "name" value.
   const auto begin_event = [&] {
@@ -89,7 +90,9 @@ std::string ChromeTraceStringData(const std::vector<Span>& spans,
       }
       if (!s.detail.empty()) {
         out += "\"detail\": ";
-        put_string(common::Detokenize(s.detail, registry));
+        detail.clear();
+        common::AppendDetokenized(&detail, s.detail, registry);
+        put_string(detail);
       }
       out += "\n   }";
     }
@@ -97,20 +100,22 @@ std::string ChromeTraceStringData(const std::vector<Span>& spans,
   }
 
   if (has_trace) {
-    for (const sim::TraceEvent& t : events) {
+    for (const sim::TraceRecord& t : events) {
       begin_event();
-      put_string(sim::TraceKindName(t.kind));
+      put_string(sim::TraceKindName(static_cast<sim::TraceKind>(t.kind)));
       out += ",\n   \"cat\": \"event\",\n   \"ph\": \"i\",\n   \"ts\": ";
       put_number(t.time * kSecToMicro);
       out += ",\n   \"pid\": 0,\n   \"tid\": ";
       put_number(t.node);
       // "s": "t" makes it a thread-scoped instant marker.
       out += ",\n   \"s\": \"t\",\n   \"args\": ";
-      if (t.detail.empty()) {
+      detail.clear();
+      common::AppendDetokenized(&detail, t.detail(), registry);
+      if (detail.empty()) {
         out += "{}";
       } else {
         out += "{\n    \"detail\": ";
-        put_string(t.detail);
+        put_string(detail);
         out += "\n   }";
       }
       out += "\n  }";
@@ -135,7 +140,7 @@ std::string ChromeTraceString(const SpanSink& spans,
                               int num_workers) {
   return ChromeTraceStringData(
       spans.spans(), spans.dropped(), trace != nullptr,
-      trace != nullptr ? trace->events() : std::vector<sim::TraceEvent>{},
+      trace != nullptr ? trace->records() : std::vector<sim::TraceRecord>{},
       trace != nullptr ? trace->dropped() : 0, num_workers);
 }
 

@@ -22,19 +22,26 @@ namespace fela::obs {
 /// The text is streamed into one string, laid out byte for byte as
 /// common::Json::Dump(1) would lay out the equivalent document (numbers
 /// and strings go through the same AppendJsonNumber/AppendJsonString).
+/// The spans and trace records are rendered in their stored, tokenized
+/// form: each detail is detokenized into one reused scratch buffer
+/// (common::AppendDetokenized) and escaped from there, so no event
+/// allocates a string of its own.
 std::string ChromeTraceString(const SpanSink& spans,
                               const sim::TraceRecorder* trace,
                               int num_workers);
 
 /// The same rendering from already-extracted data — what both the live
 /// path above and the offline binary-trace converter (tools/fela-detok)
-/// call, so their outputs are byte-identical. Span details are
-/// detokenized through `registry` (the process-global one when null);
-/// `has_trace` mirrors "was a TraceRecorder attached" (it controls the
+/// call, so their outputs are byte-identical. `events` are the trace
+/// ring's records oldest-first, as TraceRecorder::records() and
+/// BinaryTraceData::events hold them. Details are detokenized through
+/// `registry` (the process-global one when null); a trace event whose
+/// detail renders to "" gets empty args, as if it had none. `has_trace`
+/// mirrors "was a TraceRecorder attached" (it controls the
 /// trace_events_dropped field even when no events were recorded).
 std::string ChromeTraceStringData(const std::vector<Span>& spans,
                                   uint64_t spans_dropped, bool has_trace,
-                                  const std::vector<sim::TraceEvent>& events,
+                                  const std::vector<sim::TraceRecord>& events,
                                   uint64_t events_dropped, int num_workers,
                                   const common::TokenRegistry* registry =
                                       nullptr);

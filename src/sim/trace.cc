@@ -87,22 +87,13 @@ void TraceRecorder::Record(SimTime time, NodeId node, TraceKind kind,
 
 std::string RenderTraceDetail(const TraceRecord& record,
                               const common::TokenRegistry* registry) {
-  common::TokenizedDetail detail;
-  detail.token = record.token;
-  detail.args.count = record.arg_count;
-  detail.args.types = record.arg_types;
-  for (int i = 0; i < 4; ++i) detail.args.values[i] = record.args[i];
-  return common::Detokenize(detail, registry);
+  return common::Detokenize(record.detail(), registry);
 }
 
 std::vector<TraceEvent> TraceRecorder::events() const {
   std::vector<TraceEvent> ordered;
   ordered.reserve(records_.size());
-  // next_ is the oldest slot once the ring has wrapped (dropped_ > 0);
-  // before wrapping the vector is already oldest-first from slot 0.
-  const size_t start = dropped_ > 0 ? next_ : 0;
-  for (size_t i = 0; i < records_.size(); ++i) {
-    const TraceRecord& r = records_[(start + i) % records_.size()];
+  for (const TraceRecord& r : records()) {
     ordered.push_back(TraceEvent{r.time, r.node,
                                  static_cast<TraceKind>(r.kind),
                                  RenderTraceDetail(r)});
@@ -111,12 +102,15 @@ std::vector<TraceEvent> TraceRecorder::events() const {
 }
 
 std::vector<TraceRecord> TraceRecorder::records() const {
+  // next_ is the oldest slot once the ring has wrapped (dropped_ > 0);
+  // before wrapping the vector is already oldest-first from slot 0. The
+  // ring is copied as its two contiguous ranges.
+  const auto oldest = records_.begin() +
+                      static_cast<std::ptrdiff_t>(dropped_ > 0 ? next_ : 0);
   std::vector<TraceRecord> ordered;
   ordered.reserve(records_.size());
-  const size_t start = dropped_ > 0 ? next_ : 0;
-  for (size_t i = 0; i < records_.size(); ++i) {
-    ordered.push_back(records_[(start + i) % records_.size()]);
-  }
+  ordered.insert(ordered.end(), oldest, records_.end());
+  ordered.insert(ordered.end(), records_.begin(), oldest);
   return ordered;
 }
 

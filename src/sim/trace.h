@@ -70,6 +70,16 @@ struct TraceRecord {
   uint8_t kind = 0;
   uint8_t arg_count = 0;
   uint8_t arg_types = 0;
+
+  /// The stored detail in TokenizedDetail form (token 0: none).
+  common::TokenizedDetail detail() const {
+    common::TokenizedDetail d;
+    d.token = token;
+    d.args.count = arg_count;
+    d.args.types = arg_types;
+    for (int i = 0; i < 4; ++i) d.args.values[i] = args[i];
+    return d;
+  }
 };
 
 /// Bounded in-memory recorder for scheduling timelines. Disabled by
@@ -99,7 +109,7 @@ class FELA_THREAD_HOSTILE TraceRecorder {
   /// rotated and the copy is only taken by tests and exporters.
   std::vector<TraceEvent> events() const;
 
-  /// Raw stored records oldest-first.
+  /// Raw stored records oldest-first: what the exporters render from.
   std::vector<TraceRecord> records() const;
 
   size_t size() const { return records_.size(); }

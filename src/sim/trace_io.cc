@@ -11,45 +11,68 @@ namespace fela::obs {
 
 namespace binio = ::fela::common;
 
+namespace {
+
+// Encoded sizes of the FELATRB1 pieces (see the layout in trace_io.h).
+constexpr size_t kHeaderBytes = kBinaryTraceMagic.size() + 4 + 1;
+constexpr size_t kSectionHeaderBytes = 3 * 8;
+constexpr size_t kSpanRecordBytes = 64;
+constexpr size_t kTraceRecordBytes = 52;
+
+}  // namespace
+
 std::string SerializeBinaryTrace(const SpanSink& spans,
                                  const sim::TraceRecorder* trace,
                                  int num_workers) {
+  const std::vector<Span> ordered_spans = spans.spans();
+  const std::vector<sim::TraceRecord> records =
+      trace != nullptr ? trace->records() : std::vector<sim::TraceRecord>{};
   std::string out;
+  out.reserve(kHeaderBytes + kSectionHeaderBytes +
+              kSpanRecordBytes * ordered_spans.size() +
+              (trace != nullptr ? kSectionHeaderBytes +
+                                      kTraceRecordBytes * records.size()
+                                : 0) +
+              kBinaryTraceTrailer.size());
   out += kBinaryTraceMagic;
   binio::AppendU32(&out, static_cast<uint32_t>(num_workers));
   binio::AppendU8(&out, trace != nullptr ? 1 : 0);
 
-  const std::vector<Span> ordered_spans = spans.spans();
   binio::AppendU64(&out, ordered_spans.size());
   binio::AppendU64(&out, spans.dropped());
   binio::AppendU64(&out, spans.capacity());
   for (const Span& s : ordered_spans) {
-    binio::AppendF64(&out, s.begin);
-    binio::AppendF64(&out, s.end);
-    for (int i = 0; i < 4; ++i) binio::AppendU64(&out, s.detail.args.values[i]);
-    binio::AppendI32(&out, s.track);
-    binio::AppendI32(&out, s.iteration);
-    binio::AppendU32(&out, s.detail.token);
-    binio::AppendU8(&out, static_cast<uint8_t>(s.phase));
-    binio::AppendU8(&out, s.detail.args.count);
-    binio::AppendU8(&out, s.detail.args.types);
-    binio::AppendU8(&out, 0);  // pad to 64 bytes
+    char record[kSpanRecordBytes];
+    char* p = record;
+    p = binio::StoreF64(p, s.begin);
+    p = binio::StoreF64(p, s.end);
+    for (int i = 0; i < 4; ++i) p = binio::StoreU64(p, s.detail.args.values[i]);
+    p = binio::StoreI32(p, s.track);
+    p = binio::StoreI32(p, s.iteration);
+    p = binio::StoreU32(p, s.detail.token);
+    p = binio::StoreU8(p, static_cast<uint8_t>(s.phase));
+    p = binio::StoreU8(p, s.detail.args.count);
+    p = binio::StoreU8(p, s.detail.args.types);
+    binio::StoreU8(p, 0);  // pad to 64 bytes
+    out.append(record, sizeof(record));
   }
 
   if (trace != nullptr) {
-    const std::vector<sim::TraceRecord> records = trace->records();
     binio::AppendU64(&out, records.size());
     binio::AppendU64(&out, trace->dropped());
     binio::AppendU64(&out, trace->capacity());
     for (const sim::TraceRecord& r : records) {
-      binio::AppendF64(&out, r.time);
-      for (int a = 0; a < 4; ++a) binio::AppendU64(&out, r.args[a]);
-      binio::AppendI32(&out, r.node);
-      binio::AppendU32(&out, r.token);
-      binio::AppendU8(&out, r.kind);
-      binio::AppendU8(&out, r.arg_count);
-      binio::AppendU8(&out, r.arg_types);
-      binio::AppendU8(&out, 0);  // flags (reserved)
+      char record[kTraceRecordBytes];
+      char* p = record;
+      p = binio::StoreF64(p, r.time);
+      for (int a = 0; a < 4; ++a) p = binio::StoreU64(p, r.args[a]);
+      p = binio::StoreI32(p, r.node);
+      p = binio::StoreU32(p, r.token);
+      p = binio::StoreU8(p, r.kind);
+      p = binio::StoreU8(p, r.arg_count);
+      p = binio::StoreU8(p, r.arg_types);
+      binio::StoreU8(p, 0);  // flags (reserved)
+      out.append(record, sizeof(record));
     }
   }
 
@@ -277,15 +300,8 @@ std::string RenderTraceText(const BinaryTraceData& data,
 
 std::string RenderChromeTrace(const BinaryTraceData& data,
                               const common::TokenRegistry* registry) {
-  std::vector<sim::TraceEvent> events;
-  events.reserve(data.events.size());
-  for (const sim::TraceRecord& r : data.events) {
-    events.push_back(sim::TraceEvent{r.time, r.node,
-                                     static_cast<sim::TraceKind>(r.kind),
-                                     sim::RenderTraceDetail(r, registry)});
-  }
   return ChromeTraceStringData(data.spans, data.spans_dropped,
-                               data.has_trace, events, data.trace_dropped,
+                               data.has_trace, data.events, data.trace_dropped,
                                data.num_workers, registry);
 }
 

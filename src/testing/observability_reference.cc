@@ -1,6 +1,8 @@
 #include "testing/observability_reference.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdio>
 #include <set>
 #include <utility>
 
@@ -48,11 +50,107 @@ std::vector<ClippedSpan> ClipTrack(const std::vector<Span>& spans,
   return out;
 }
 
+/// Runs one complete printf spec against one value.
+template <typename T>
+void AppendOne(std::string* out, const std::string& spec, T value) {
+  char buf[128];
+  const int n = std::snprintf(buf, sizeof(buf), spec.c_str(), value);
+  if (n < 0) return;
+  if (n < static_cast<int>(sizeof(buf))) {
+    out->append(buf, static_cast<size_t>(n));
+    return;
+  }
+  std::string big(static_cast<size_t>(n) + 1, '\0');
+  std::snprintf(big.data(), big.size(), spec.c_str(), value);
+  big.resize(static_cast<size_t>(n));
+  out->append(big);
+}
+
 }  // namespace
+
+std::string ReferenceDetokFormat(const std::string& fmt,
+                                 const common::TokArgs& args) {
+  using common::TokArgType;
+  using common::internal_tokenize::IsDigit;
+  using common::internal_tokenize::IsFlag;
+  using common::internal_tokenize::IsFloatConv;
+  using common::internal_tokenize::IsIntegerConv;
+  using common::internal_tokenize::IsLengthMod;
+  std::string out;
+  int next_arg = 0;
+  size_t i = 0;
+  while (i < fmt.size()) {
+    const char c = fmt[i];
+    if (c != '%') {
+      out += c;
+      ++i;
+      continue;
+    }
+    if (i + 1 < fmt.size() && fmt[i + 1] == '%') {
+      out += '%';
+      i += 2;
+      continue;
+    }
+    size_t j = i + 1;
+    std::string flags_width;
+    while (j < fmt.size() && IsFlag(fmt[j])) flags_width += fmt[j++];
+    while (j < fmt.size() && IsDigit(fmt[j])) flags_width += fmt[j++];
+    if (j < fmt.size() && fmt[j] == '.') {
+      flags_width += fmt[j++];
+      while (j < fmt.size() && IsDigit(fmt[j])) flags_width += fmt[j++];
+    }
+    while (j < fmt.size() && IsLengthMod(fmt[j])) ++j;
+    if (j >= fmt.size()) {
+      out.append(fmt, i, fmt.size() - i);
+      break;
+    }
+    const char conv = fmt[j];
+    if ((!IsIntegerConv(conv) && !IsFloatConv(conv)) ||
+        next_arg >= args.count) {
+      out.append(fmt, i, j - i + 1);
+      i = j + 1;
+      continue;
+    }
+    const uint64_t bits = args.values[next_arg];
+    const TokArgType type = args.type(next_arg);
+    ++next_arg;
+    if (conv == 'c') {
+      AppendOne(&out, "%" + flags_width + "c",
+                static_cast<int>(static_cast<int64_t>(bits)));
+    } else if (IsIntegerConv(conv)) {
+      const std::string spec = "%" + flags_width + "ll" + conv;
+      if (type == TokArgType::kDouble) {
+        AppendOne(&out, spec,
+                  static_cast<long long>(std::bit_cast<double>(bits)));
+      } else if (conv == 'd' || conv == 'i') {
+        AppendOne(&out, spec, static_cast<long long>(bits));
+      } else {
+        AppendOne(&out, spec, static_cast<unsigned long long>(bits));
+      }
+    } else {
+      const std::string spec = "%" + flags_width + conv;
+      double value = 0.0;
+      switch (type) {
+        case TokArgType::kDouble:
+          value = std::bit_cast<double>(bits);
+          break;
+        case TokArgType::kInt:
+          value = static_cast<double>(static_cast<int64_t>(bits));
+          break;
+        default:
+          value = static_cast<double>(bits);
+          break;
+      }
+      AppendOne(&out, spec, value);
+    }
+    i = j + 1;
+  }
+  return out;
+}
 
 common::Json ReferenceChromeTraceJson(
     const std::vector<Span>& spans, uint64_t spans_dropped, bool has_trace,
-    const std::vector<sim::TraceEvent>& events, uint64_t events_dropped,
+    const std::vector<sim::TraceRecord>& events, uint64_t events_dropped,
     int num_workers, const common::TokenRegistry* registry) {
   common::Json out_events = common::Json::Array();
 
@@ -82,9 +180,9 @@ common::Json ReferenceChromeTraceJson(
   }
 
   if (has_trace) {
-    for (const sim::TraceEvent& t : events) {
+    for (const sim::TraceRecord& t : events) {
       common::Json e = common::Json::Object();
-      e.Set("name", sim::TraceKindName(t.kind));
+      e.Set("name", sim::TraceKindName(static_cast<sim::TraceKind>(t.kind)));
       e.Set("cat", "event");
       e.Set("ph", "i");
       e.Set("ts", t.time * kSecToMicro);
@@ -92,7 +190,8 @@ common::Json ReferenceChromeTraceJson(
       e.Set("tid", t.node);
       e.Set("s", "t");  // thread-scoped instant marker
       common::Json args = common::Json::Object();
-      if (!t.detail.empty()) args.Set("detail", t.detail);
+      const std::string detail = sim::RenderTraceDetail(t, registry);
+      if (!detail.empty()) args.Set("detail", detail);
       e.Set("args", std::move(args));
       out_events.Append(std::move(e));
     }

@@ -15,6 +15,7 @@
 #include <limits>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/tokenize.h"
@@ -34,7 +35,7 @@ struct ChromeInput {
   std::vector<obs::Span> spans;
   uint64_t spans_dropped = 0;
   bool has_trace = true;
-  std::vector<sim::TraceEvent> events;
+  std::vector<sim::TraceRecord> events;
   uint64_t events_dropped = 0;
   int num_workers = 0;
   const common::TokenRegistry* registry = nullptr;
@@ -202,7 +203,7 @@ TEST_P(ObservabilityDifferential, RenderersMatchReferences) {
                               runtime::Cluster& cluster) {
     in.spans = cluster.spans().spans();
     in.spans_dropped = cluster.spans().dropped();
-    in.events = cluster.trace().events();
+    in.events = cluster.trace().records();
     in.events_dropped = cluster.trace().dropped();
   };
   const runtime::ExperimentResult result =
@@ -251,8 +252,31 @@ obs::Span MakeSpan(int track, obs::Phase phase, double begin, double end,
   return s;
 }
 
+/// A trace record without a detail.
+sim::TraceRecord MakeRecord(double time, int node, sim::TraceKind kind) {
+  sim::TraceRecord r;
+  r.time = time;
+  r.node = node;
+  r.kind = static_cast<uint8_t>(kind);
+  return r;
+}
+
+/// A trace record whose detail is `fmt` with no args, `fmt` registered
+/// in `registry` under its own hash. Unlike a FELA_TOK literal, `fmt`
+/// may hold any byte.
+sim::TraceRecord MakeRecord(double time, int node, sim::TraceKind kind,
+                            common::TokenRegistry* registry,
+                            std::string_view fmt) {
+  sim::TraceRecord r = MakeRecord(time, node, kind);
+  r.token = common::TokenHash32(fmt);
+  EXPECT_TRUE(registry->Register(r.token, fmt));
+  return r;
+}
+
 TEST(ChromeTraceReference, EmptyInputs) {
+  common::TokenRegistry registry;
   ChromeInput in;
+  in.registry = &registry;
   in.has_trace = false;
   ExpectMatchesReference(in);  // no tracks at all: "traceEvents": []
   in.num_workers = 3;
@@ -262,20 +286,22 @@ TEST(ChromeTraceReference, EmptyInputs) {
   // Events are ignored when no recorder was attached.
   in.has_trace = false;
   in.events.push_back(
-      sim::TraceEvent{1.0, 0, sim::TraceKind::kWorkerCrash, "x"});
+      MakeRecord(1.0, 0, sim::TraceKind::kWorkerCrash, &registry, "x"));
   ExpectMatchesReference(in);
 }
 
 TEST(ChromeTraceReference, TracksOutsideTheWorkerRange) {
+  common::TokenRegistry registry;
   ChromeInput in;
+  in.registry = &registry;
   in.num_workers = 2;
   in.spans = {MakeSpan(5, obs::Phase::kIteration, 0.0, 1.0, 0),
               MakeSpan(2, obs::Phase::kIteration, 0.0, 1.0, 1),
               MakeSpan(-3, obs::Phase::kCompute, 0.0, 0.5, -1),
               MakeSpan(1, obs::Phase::kSyncWait, 0.25, 0.75, 0),
               MakeSpan(5, obs::Phase::kTokenWait, 0.5, 0.5, 2)};
-  in.events = {sim::TraceEvent{0.5, 7, sim::TraceKind::kTokenGrant, ""},
-               sim::TraceEvent{0.5, -1, sim::TraceKind::kConflict, "c"}};
+  in.events = {MakeRecord(0.5, 7, sim::TraceKind::kTokenGrant),
+               MakeRecord(0.5, -1, sim::TraceKind::kConflict, &registry, "c")};
   ExpectMatchesReference(in);
 }
 
@@ -304,12 +330,48 @@ TEST(ChromeTraceReference, DetailsNeedingEscapes) {
   obs::Span unknown_token = detail_only;
   unknown_token.detail.token = kToken + 1;  // renders as an unknown marker
   in.spans = {with_detail, detail_only, unknown_token};
+  sim::TraceRecord with_args =
+      MakeRecord(0.25, 1, sim::TraceKind::kTokenGrant);
+  with_args.token = kToken;
+  with_args.arg_count = 1;
+  with_args.arg_types = static_cast<uint8_t>(common::TokArgType::kInt);
+  with_args.args[0] = static_cast<uint64_t>(int64_t{-7});
   in.events = {
-      sim::TraceEvent{0.5, 0, sim::TraceKind::kTokenRequest,
-                      "tab\there\rcr \x1f \x7f \"q\" \\ \xe2\x82\xac"},
-      sim::TraceEvent{0.75, 1, sim::TraceKind::kFetchEnd,
-                      std::string("nul\0byte", 8)}};
+      MakeRecord(0.5, 0, sim::TraceKind::kTokenRequest, &registry,
+                 "tab\there\rcr \x1f \x7f \"q\" \\ \xe2\x82\xac"),
+      MakeRecord(0.75, 1, sim::TraceKind::kFetchEnd, &registry,
+                 std::string_view("nul\0byte", 8)),
+      with_args};
   ExpectMatchesReference(in);
+}
+
+TEST(ChromeTraceReference, UnknownTokenRendersAMarker) {
+  common::TokenRegistry registry;
+  ChromeInput in;
+  in.num_workers = 1;
+  in.registry = &registry;
+  sim::TraceRecord unknown = MakeRecord(0.5, 0, sim::TraceKind::kConflict);
+  unknown.token = 0xdeadbeefu;  // in no registry
+  in.events = {unknown};
+  ExpectMatchesReference(in);
+  EXPECT_NE(Reference(in).find("\"detail\": \"<token deadbeef?>\""),
+            std::string::npos);
+}
+
+TEST(ChromeTraceReference, DetailRenderingToEmptyGetsEmptyArgs) {
+  common::TokenRegistry registry;
+  ChromeInput in;
+  in.num_workers = 1;
+  in.registry = &registry;
+  in.events = {MakeRecord(0.5, 0, sim::TraceKind::kConflict, &registry, "")};
+  ASSERT_NE(in.events[0].token, 0u);
+  ExpectMatchesReference(in);
+  const std::string rendered = obs::ChromeTraceStringData(
+      in.spans, in.spans_dropped, in.has_trace, in.events, in.events_dropped,
+      in.num_workers, in.registry);
+  EXPECT_NE(rendered.find("\"s\": \"t\",\n   \"args\": {}"),
+            std::string::npos)
+      << rendered;
 }
 
 TEST(ChromeTraceReference, NonFiniteTimesRenderAsNull) {
@@ -321,8 +383,8 @@ TEST(ChromeTraceReference, NonFiniteTimesRenderAsNull) {
               MakeSpan(0, obs::Phase::kCompute, 0.0, inf, 0),
               MakeSpan(0, obs::Phase::kCompute, -inf, 0.0, 0),
               MakeSpan(0, obs::Phase::kCompute, 0.0, nan, 0)};
-  in.events = {sim::TraceEvent{nan, 0, sim::TraceKind::kWorkerCrash, ""},
-               sim::TraceEvent{-inf, 0, sim::TraceKind::kWorkerRecover, ""}};
+  in.events = {MakeRecord(nan, 0, sim::TraceKind::kWorkerCrash),
+               MakeRecord(-inf, 0, sim::TraceKind::kWorkerRecover)};
   ExpectMatchesReference(in);
   EXPECT_NE(Reference(in).find("\"ts\": null"), std::string::npos);
 }
@@ -340,8 +402,8 @@ TEST(ChromeTraceReference, NumberFormattingEdges) {
               MakeSpan(0, obs::Phase::kCompute, 1e-300, 0.1, 0),
               // Needs all 17 significant digits.
               MakeSpan(0, obs::Phase::kCompute, 1.0 / 3.0, 2.0 / 3.0, 0)};
-  in.events = {sim::TraceEvent{-0.0, 0, sim::TraceKind::kWorkerCrash, ""},
-               sim::TraceEvent{1e9, 0, sim::TraceKind::kWorkerRecover, ""}};
+  in.events = {MakeRecord(-0.0, 0, sim::TraceKind::kWorkerCrash),
+               MakeRecord(1e9, 0, sim::TraceKind::kWorkerRecover)};
   in.spans_dropped = (uint64_t{1} << 60) + 1;  // past 2^53: "%.17g"
   in.events_dropped = 999999999999999;         // just under 1e15
   ExpectMatchesReference(in);

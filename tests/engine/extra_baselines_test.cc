@@ -11,6 +11,8 @@
 #include "baselines/ps_engine.h"
 #include "model/zoo.h"
 #include "runtime/cluster.h"
+#include "runtime/experiment.h"
+#include "suite/suite.h"
 
 namespace fela::baselines {
 namespace {
@@ -84,6 +86,54 @@ TEST(ElasticMpEngineTest, MatchesStaticMpWithoutStragglers) {
   // one; allow a modest delta either way.
   EXPECT_NEAR(t_elastic, t_static, t_static * 0.25);
   EXPECT_GT(emp.repartition_count(), 0);
+}
+
+TEST(ElasticMpEngineTest, IsMpUntilItRepartitions) {
+  // A profiling period longer than the run: ElasticMP never re-partitions,
+  // so under the same transient stragglers it must replay static MP
+  // exactly, down to the event count and (observed) every span.
+  const model::Model m = model::zoo::Vgg19();
+  const runtime::StragglerFactory stragglers =
+      [](int n) -> std::unique_ptr<sim::StragglerSchedule> {
+    return std::make_unique<sim::TransientStragglers>(n, 4.0, 3, 7);
+  };
+  for (const bool observe : {false, true}) {
+    SCOPED_TRACE(observe ? "observed" : "unobserved");
+    runtime::ExperimentSpec spec;
+    spec.total_batch = 512.0;
+    spec.iterations = 10;
+    spec.observe = observe;
+    uint64_t events[2] = {0, 0};
+    int repartitions = -1;
+    spec.post_run_probe = [&](const runtime::Engine& engine,
+                              runtime::Cluster& cluster) {
+      const auto* emp = dynamic_cast<const ElasticMpEngine*>(&engine);
+      events[emp != nullptr ? 1 : 0] = cluster.simulator().events_processed();
+      if (emp != nullptr) repartitions = emp->repartition_count();
+    };
+    const runtime::ExperimentResult mp =
+        runtime::RunExperiment(spec, suite::MpFactory(m), stragglers);
+    const runtime::ExperimentResult emp = runtime::RunExperiment(
+        spec, suite::ElasticMpFactory(m, 4.0, /*profile_period=*/11),
+        stragglers);
+    EXPECT_EQ(repartitions, 0);
+    ASSERT_EQ(emp.stats.iteration_count(), mp.stats.iteration_count());
+    for (int i = 0; i < mp.stats.iteration_count(); ++i) {
+      const size_t k = static_cast<size_t>(i);
+      EXPECT_EQ(emp.stats.iterations[k].start, mp.stats.iterations[k].start)
+          << "iteration " << i;
+      EXPECT_EQ(emp.stats.iterations[k].end, mp.stats.iterations[k].end)
+          << "iteration " << i;
+    }
+    EXPECT_EQ(emp.stats.total_time, mp.stats.total_time);
+    EXPECT_EQ(emp.stats.total_data_bytes, mp.stats.total_data_bytes);
+    EXPECT_EQ(emp.stats.total_gpu_busy, mp.stats.total_gpu_busy);
+    EXPECT_EQ(emp.stats.control_messages, mp.stats.control_messages);
+    EXPECT_GT(events[0], 0u);
+    EXPECT_EQ(events[1], events[0]);
+    EXPECT_EQ(emp.observed, observe);
+    EXPECT_TRUE(emp.binary_trace == mp.binary_trace);
+  }
 }
 
 TEST(ElasticMpEngineTest, RepartitionsOnSchedule) {

@@ -18,7 +18,10 @@
 // TS-cost column (the bench/baselines/ trajectory numbers) go to
 // stderr, and to the machine-specific baseline artifact under
 // --baseline-out=PATH — regenerate it like BENCH_micro_core.json, on
-// the reference machine.
+// the reference machine. Every wall-clock number, the gate's included,
+// is the fastest of kTimingRepeats serial re-runs of its point, taken
+// after the sweep, so neither a concurrent --jobs sweep nor one slow
+// shot skews it.
 
 #include <chrono>
 #include <cstdio>
@@ -43,7 +46,8 @@ namespace {
 using WallClock = std::chrono::steady_clock;
 
 /// Per-point deterministic counters captured by the post-run probe, plus
-/// the wall-clock window from engine construction to probe time.
+/// the wall-clock window from engine construction to probe time of the
+/// latest run.
 struct PointStats {
   uint64_t events = 0;
   uint64_t transfers = 0;
@@ -66,9 +70,10 @@ struct PointSpec {
 /// scaling behaviour.
 constexpr double kSamplesPerWorker = 16.0;
 
-/// Serial re-runs behind the per-event gate; it compares the fastest of
-/// each, so one slow shot (a busy host, a concurrent sweep) cannot fail it.
-constexpr int kGateRepeats = 5;
+/// Serial re-runs behind every wall-clock number: each point reports the
+/// fastest, so one slow shot (a busy host) cannot skew its rate or fail
+/// the per-event gate.
+constexpr int kTimingRepeats = 5;
 
 fela::sim::Topology RackedTopology() {
   // 32-node racks with 40 Gbps uplinks and 5 us per ToR<->agg hop: a
@@ -161,6 +166,16 @@ int main(int argc, char** argv) {
   }
   const std::vector<runtime::ExperimentResult> results =
       runtime::RunSweep(items, opts.jobs);
+  std::vector<double> wall_seconds(items.size(), 0.0);
+  for (size_t i = 0; i < items.size(); ++i) {
+    for (int rep = 0; rep < kTimingRepeats; ++rep) {
+      runtime::RunExperiment(items[i].spec, items[i].engine,
+                             items[i].stragglers);
+      if (rep == 0 || points[i].wall_seconds < wall_seconds[i]) {
+        wall_seconds[i] = points[i].wall_seconds;
+      }
+    }
+  }
 
   std::ofstream csv_file("scale_workers.csv");
   common::CsvWriter csv(csv_file);
@@ -176,7 +191,7 @@ int main(int argc, char** argv) {
   std::printf("  %8s %7s %12s %14s %12s %12s %12s\n", "workers", "shards",
               "sim_s", "samples/s", "events/iter", "xfers/iter", "xrack/iter");
   int rc = 0;
-  // Items of the auto-sharded 256/1024 points, re-timed for the
+  // Items of the auto-sharded 256/1024 points, compared by the
   // blast-radius gate below.
   std::vector<size_t> gate_points;
   for (size_t i = 0; i < point_specs.size(); ++i) {
@@ -206,19 +221,18 @@ int main(int argc, char** argv) {
     // run-wall column is the whole run's wall time (Token Server, event
     // queue, fabric, workers) divided by simulated events and by grants —
     // not a Token Server cost on its own.
-    const double iters_per_sec =
-        p.wall_seconds > 0.0 ? iterations / p.wall_seconds : 0.0;
+    const double wall = wall_seconds[i];
+    const double iters_per_sec = wall > 0.0 ? iterations / wall : 0.0;
     const double us_per_event =
-        p.events > 0 ? 1e6 * p.wall_seconds / static_cast<double>(p.events)
-                     : 0.0;
+        p.events > 0 ? 1e6 * wall / static_cast<double>(p.events) : 0.0;
     const double us_per_grant =
-        p.grants > 0 ? 1e6 * p.wall_seconds / static_cast<double>(p.grants)
-                     : 0.0;
+        p.grants > 0 ? 1e6 * wall / static_cast<double>(p.grants) : 0.0;
     std::fprintf(stderr,
                  "wall[%d workers, %d shard(s)]: %.2f iterations/sec "
-                 "(%.3fs for %d); run-wall %.2f us/event, %.2f us/grant\n",
-                 workers, p.ts_shards, iters_per_sec, p.wall_seconds,
-                 iterations, us_per_event, us_per_grant);
+                 "(%.3fs for %d, min of %d); run-wall %.2f us/event, "
+                 "%.2f us/grant\n",
+                 workers, p.ts_shards, iters_per_sec, wall, iterations,
+                 kTimingRepeats, us_per_event, us_per_grant);
     if (p.ts_shards > 1 && (workers == 256 || workers == 1024)) {
       gate_points.push_back(i);
     }
@@ -268,28 +282,19 @@ int main(int argc, char** argv) {
   // monolithic server's victim scans made 1024 workers ~17x costlier per
   // event than 256. Wall-clock based, so it only arms on full
   // (non-smoke) runs, and 4x leaves generous headroom over the ~1-2x a
-  // flat per-event profile shows in practice. Each point is re-timed
-  // kGateRepeats times serially, after the sweep, and the gate compares
-  // the minima.
+  // flat per-event profile shows in practice. It compares the same
+  // min-of-kTimingRepeats timings the rows report.
   if (!opts.smoke && gate_points.size() == 2) {
-    double min_cost[2] = {0.0, 0.0};  // us/event at 256, then 1024
-    for (size_t g = 0; g < 2; ++g) {
-      const size_t i = gate_points[g];
-      for (int rep = 0; rep < kGateRepeats; ++rep) {
-        runtime::RunExperiment(items[i].spec, items[i].engine,
-                               items[i].stragglers);
-        const double cost = 1e6 * points[i].wall_seconds /
-                            static_cast<double>(points[i].events);
-        if (rep == 0 || cost < min_cost[g]) min_cost[g] = cost;
-      }
-    }
-    const double sharded_cost_256 = min_cost[0];
-    const double sharded_cost_1024 = min_cost[1];
+    const auto us_per_event = [&](size_t i) {
+      return 1e6 * wall_seconds[i] / static_cast<double>(points[i].events);
+    };
+    const double sharded_cost_256 = us_per_event(gate_points[0]);
+    const double sharded_cost_1024 = us_per_event(gate_points[1]);
     const double ratio = sharded_cost_1024 / sharded_cost_256;
     std::fprintf(stderr,
                  "run-wall per-event ratio (sharded 1024 vs 256, min of "
                  "%d): %.2fx (%.2f vs %.2f us/event)\n",
-                 kGateRepeats, ratio, sharded_cost_1024, sharded_cost_256);
+                 kTimingRepeats, ratio, sharded_cost_1024, sharded_cost_256);
     if (ratio > 4.0) {
       std::fprintf(stderr,
                    "FAIL: sharded whole-run wall time per event grew "

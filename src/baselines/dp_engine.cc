@@ -1,60 +1,36 @@
 #include "baselines/dp_engine.h"
 
 #include <algorithm>
-#include <cmath>
 
-#include "common/logging.h"
+#include "model/memory_model.h"
 #include "sim/collectives.h"
 
 namespace fela::baselines {
 
 DpEngine::DpEngine(runtime::Cluster* cluster, const model::Model& model,
                    double total_batch)
-    : cluster_(cluster),
-      model_(model),
-      cost_(cluster->calibration(), &model::ProfileRepository::Default()),
-      memory_(cluster->calibration()),
-      total_batch_(total_batch) {
-  FELA_CHECK_GT(total_batch, 0.0);
+    : BspEngine(cluster, model, total_batch) {
   const int n = cluster_->num_workers();
   per_worker_batch_ = total_batch / static_cast<double>(n);
-  const int max_fit = memory_.MaxBatchForModel(model_);
-  FELA_CHECK_GT(max_fit, 0) << "model does not fit on the device at batch 1";
-  if (per_worker_batch_ <= static_cast<double>(max_fit)) {
-    micro_batch_ = per_worker_batch_;
-    micro_steps_ = 1;
-  } else {
-    micro_steps_ = static_cast<int>(
-        std::ceil(per_worker_batch_ / static_cast<double>(max_fit)));
-    micro_batch_ = per_worker_batch_ / static_cast<double>(micro_steps_);
-  }
+  const auto split = model::MemoryModel(cluster_->calibration())
+                         .SplitForModel(model_, per_worker_batch_);
+  micro_batch_ = split.micro_batch;
+  micro_steps_ = split.steps;
+  compute_seconds_ =
+      cost_.RangeSeconds(model_, 0, model_.layer_count() - 1, micro_batch_) *
+      static_cast<double>(micro_steps_);
   param_bytes_ =
       model_.TotalParams() * cluster_->calibration().bytes_per_scalar;
   attempt_start_.assign(static_cast<size_t>(n), 0.0);
 }
 
 void DpEngine::StartIteration(int iteration) {
-  current_iteration_ = iteration;
-  iteration_start_ = cluster_->simulator().now();
   workers_pending_ = cluster_->num_workers();
-  if (cluster_->spans().enabled()) {
-    iter_span_.emplace(&cluster_->spans(), cluster_->num_workers(),
-                       obs::Phase::kIteration, iteration);
-  }
-  // One full training pass per micro-step; micro-steps run back-to-back
-  // on the device (gradient accumulation).
-  const double micro_seconds = cost_.RangeSeconds(
-      model_, 0, model_.layer_count() - 1, micro_batch_);
-  const double compute_seconds =
-      micro_seconds * static_cast<double>(micro_steps_);
   for (int w = 0; w < cluster_->num_workers(); ++w) {
-    sim::GpuDevice& gpu = cluster_->gpu(w);
     const double delay = cluster_->stragglers().DelayFor(iteration, w);
-    if (delay > 0.0) {
-      gpu.BlockUntil(cluster_->simulator().now() + delay);
-    }
+    if (delay > 0.0) cluster_->gpu(w).BlockUntil(now() + delay);
     const double slowdown = cluster_->stragglers().SlowdownFor(iteration, w);
-    EnqueueCompute(w, compute_seconds * slowdown);
+    EnqueueCompute(w, compute_seconds_ * slowdown);
   }
 }
 
@@ -62,8 +38,7 @@ void DpEngine::EnqueueCompute(int worker, double seconds) {
   sim::GpuDevice& gpu = cluster_->gpu(worker);
   // The attempt starts when the device actually picks it up, not at
   // enqueue time — redo attempts queue behind the recovery block.
-  attempt_start_[static_cast<size_t>(worker)] =
-      std::max(cluster_->simulator().now(), gpu.free_at());
+  attempt_start_[static_cast<size_t>(worker)] = std::max(now(), gpu.free_at());
   gpu.Enqueue(seconds, [this, worker, seconds] {
     OnWorkerComputeDone(worker, seconds);
   });
@@ -73,24 +48,20 @@ void DpEngine::OnWorkerComputeDone(int worker, double seconds) {
   const sim::FaultSchedule& faults = cluster_->faults();
   if (faults.Active() &&
       faults.AnyUnreachableDuring(attempt_start_[static_cast<size_t>(worker)],
-                                  cluster_->simulator().now(), worker,
-                                  /*anchor=*/0)) {
+                                  now(), worker, /*anchor=*/0)) {
     // The replica died mid-batch — or a partition hid it from the ring's
     // anchor: its gradient is gone. No membership change is possible
     // under DP, so the whole attempt is redone once the node is back and
     // reachable — or never, stalling the barrier.
     ++stats_.faults.crashes;
     const sim::SimTime up =
-        faults.NextReachableAfter(cluster_->simulator().now(), worker,
-                                  /*anchor=*/0);
+        faults.NextReachableAfter(now(), worker, /*anchor=*/0);
     if (sim::IsNever(up)) {
       stats_.stalled = true;
       return;  // peers wait at the barrier forever
     }
     ++stats_.faults.recoveries;
-    if (up > cluster_->simulator().now()) {
-      cluster_->gpu(worker).BlockUntil(up, obs::Phase::kCrashed);
-    }
+    if (up > now()) cluster_->gpu(worker).BlockUntil(up, obs::Phase::kCrashed);
     EnqueueCompute(worker, seconds);
     return;
   }
@@ -99,41 +70,8 @@ void DpEngine::OnWorkerComputeDone(int worker, double seconds) {
   std::vector<sim::NodeId> all;
   for (int i = 0; i < cluster_->num_workers(); ++i) all.push_back(i);
   sim::AllReduce(&cluster_->simulator(), &cluster_->fabric(), std::move(all),
-                 param_bytes_, [this] { OnAllReduceDone(); },
+                 param_bytes_, [this] { FinishIteration(); },
                  &cluster_->spans());
-}
-
-void DpEngine::OnAllReduceDone() {
-  stats_.iterations.push_back(runtime::IterationStats{
-      iteration_start_, cluster_->simulator().now()});
-  iter_span_.reset();  // emits the iteration framing span
-  if (current_iteration_ + 1 < target_iterations_) {
-    StartIteration(current_iteration_ + 1);
-  } else {
-    run_complete_ = true;
-  }
-}
-
-runtime::RunStats DpEngine::Run(int iterations) {
-  FELA_CHECK_GT(iterations, 0);
-  FELA_CHECK(stats_.iterations.empty());
-  target_iterations_ = iterations;
-  cluster_->fabric().ResetStats();
-  StartIteration(0);
-  cluster_->simulator().Run();
-  FELA_CHECK(run_complete_ || stats_.stalled)
-      << "simulation drained before finishing";
-  if (iter_span_) {
-    // A stalled barrier never ends the iteration; drop the framing span
-    // instead of charging the stall window to it.
-    iter_span_->Cancel();
-    iter_span_.reset();
-  }
-  stats_.total_time = cluster_->simulator().now();
-  stats_.total_data_bytes = cluster_->fabric().total_data_bytes();
-  stats_.total_gpu_busy = cluster_->TotalGpuBusy();
-  stats_.control_messages = cluster_->fabric().control_message_count();
-  return stats_;
 }
 
 }  // namespace fela::baselines

@@ -1,16 +1,12 @@
 #ifndef FELA_BASELINES_DP_ENGINE_H_
 #define FELA_BASELINES_DP_ENGINE_H_
 
-#include <memory>
-#include <optional>
 #include <string>
+#include <vector>
 
-#include "model/cost_model.h"
-#include "model/memory_model.h"
+#include "baselines/bsp_engine.h"
 #include "model/model.h"
 #include "runtime/cluster.h"
-#include "runtime/engine.h"
-#include "sim/span.h"
 
 namespace fela::baselines {
 
@@ -26,13 +22,12 @@ namespace fela::baselines {
 /// per-worker batch once it is back up — every peer waits at the barrier
 /// meanwhile — and a worker that never recovers stalls the job forever
 /// (RunStats::stalled).
-class DpEngine : public runtime::Engine {
+class DpEngine final : public BspEngine {
  public:
   DpEngine(runtime::Cluster* cluster, const model::Model& model,
            double total_batch);
 
   std::string name() const override { return "DP"; }
-  runtime::RunStats Run(int iterations) override;
 
   /// Per-worker batch after the even split.
   double per_worker_batch() const { return per_worker_batch_; }
@@ -41,32 +36,22 @@ class DpEngine : public runtime::Engine {
   int micro_steps() const { return micro_steps_; }
 
  private:
-  void StartIteration(int iteration);
+  void StartIteration(int iteration) override;
   void EnqueueCompute(int worker, double seconds);
   void OnWorkerComputeDone(int worker, double seconds);
-  void OnAllReduceDone();
 
-  runtime::Cluster* cluster_;
-  model::Model model_;
-  model::LayerCostModel cost_;
-  model::MemoryModel memory_;
-  double total_batch_;
   double per_worker_batch_;
   double micro_batch_;
   int micro_steps_;
+  /// One full training pass per micro-step, run back-to-back on the
+  /// device (gradient accumulation); before straggler slowdown.
+  double compute_seconds_;
   double param_bytes_;
 
-  int target_iterations_ = 0;
-  int current_iteration_ = 0;
-  sim::SimTime iteration_start_ = 0.0;
   int workers_pending_ = 0;
-  bool run_complete_ = false;
   /// When each worker's current compute attempt started (crash overlap
   /// with [start, finish] invalidates the attempt).
   std::vector<sim::SimTime> attempt_start_;
-  runtime::RunStats stats_;
-  /// Iteration framing span on the driver track (= num_workers).
-  std::optional<obs::ScopedSpan> iter_span_;
 };
 
 }  // namespace fela::baselines

@@ -11,11 +11,7 @@ constexpr double kForwardShare = 1.0 / 3.0;
 
 HpEngine::HpEngine(runtime::Cluster* cluster, const model::Model& model,
                    double total_batch)
-    : cluster_(cluster),
-      model_(model),
-      cost_(cluster->calibration(), &model::ProfileRepository::Default()),
-      total_batch_(total_batch) {
-  FELA_CHECK_GT(total_batch, 0.0);
+    : BspEngine(cluster, model, total_batch) {
   FELA_CHECK_GE(cluster->num_workers(), 2);
   shard_batch_ = total_batch / static_cast<double>(conv_worker_count());
   fc_first_layer_ = -1;
@@ -26,33 +22,24 @@ HpEngine::HpEngine(runtime::Cluster* cluster, const model::Model& model,
     }
   }
   FELA_CHECK_GE(fc_first_layer_, 1) << "HP baseline needs CONV + FC layers";
-  conv_param_bytes_ = model_.ParamsInRange(0, fc_first_layer_ - 1) *
-                      cluster_->calibration().bytes_per_scalar;
-}
-
-double HpEngine::BoundaryBytesPerShard() const {
-  return model_.BoundaryActivationElems(fc_first_layer_) * shard_batch_ *
-         cluster_->calibration().bytes_per_scalar;
+  const double bytes = cluster_->calibration().bytes_per_scalar;
+  conv_param_bytes_ = model_.ParamsInRange(0, fc_first_layer_ - 1) * bytes;
+  boundary_bytes_ =
+      model_.BoundaryActivationElems(fc_first_layer_) * shard_batch_ * bytes;
+  conv_seconds_ =
+      cost_.RangeSeconds(model_, 0, fc_first_layer_ - 1, shard_batch_);
+  fc_seconds_ = cost_.RangeSeconds(model_, fc_first_layer_,
+                                   model_.layer_count() - 1, shard_batch_);
 }
 
 void HpEngine::StartIteration(int iteration) {
-  current_iteration_ = iteration;
-  iteration_start_ = cluster_->simulator().now();
   conv_pending_ = conv_worker_count();
-  if (cluster_->spans().enabled()) {
-    iter_span_.emplace(&cluster_->spans(), cluster_->num_workers(),
-                       obs::Phase::kIteration, iteration);
-  }
   for (int w = 0; w < cluster_->num_workers(); ++w) {
     const double delay = cluster_->stragglers().DelayFor(iteration, w);
-    if (delay > 0.0) {
-      cluster_->gpu(w).BlockUntil(cluster_->simulator().now() + delay);
-    }
+    if (delay > 0.0) cluster_->gpu(w).BlockUntil(now() + delay);
   }
   for (int w = 0; w < conv_worker_count(); ++w) {
-    const double fwd = cost_.RangeSeconds(model_, 0, fc_first_layer_ - 1,
-                                          shard_batch_) *
-                       kForwardShare *
+    const double fwd = conv_seconds_ * kForwardShare *
                        cluster_->stragglers().SlowdownFor(iteration, w);
     cluster_->gpu(w).Enqueue(fwd, [this, w] { OnConvForwardDone(w); });
   }
@@ -60,7 +47,7 @@ void HpEngine::StartIteration(int iteration) {
 
 void HpEngine::OnConvForwardDone(int conv_worker) {
   cluster_->fabric().Transfer(
-      conv_worker, fc_worker(), BoundaryBytesPerShard(),
+      conv_worker, fc_worker(), boundary_bytes_,
       [this, conv_worker] { OnActivationsAtFc(conv_worker); });
 }
 
@@ -75,33 +62,26 @@ void HpEngine::PumpFc() {
   // activations round-trip independently), so the FC worker runs one
   // pass per shard, FIFO. This is what turns the FC worker into the
   // bottleneck as the batch grows (§V-C1 discussion).
-  std::vector<int> owners = {fc_waiting_.front()};
+  const int owner = fc_waiting_.front();
   fc_waiting_.erase(fc_waiting_.begin());
   const double fc_seconds =
-      cost_.RangeSeconds(model_, fc_first_layer_, model_.layer_count() - 1,
-                         shard_batch_) *
+      fc_seconds_ *
       cluster_->stragglers().SlowdownFor(current_iteration_, fc_worker());
   fc_busy_ = true;
   cluster_->gpu(fc_worker())
-      .Enqueue(fc_seconds, [this, owners = std::move(owners)]() mutable {
-        OnFcPassDone(std::move(owners));
-      });
+      .Enqueue(fc_seconds, [this, owner] { OnFcPassDone(owner); });
 }
 
-void HpEngine::OnFcPassDone(std::vector<int> shard_owners) {
+void HpEngine::OnFcPassDone(int conv_worker) {
   fc_busy_ = false;
-  for (int conv_worker : shard_owners) {
-    cluster_->fabric().Transfer(
-        fc_worker(), conv_worker, BoundaryBytesPerShard(),
-        [this, conv_worker] { OnGradsAtConv(conv_worker); });
-  }
+  cluster_->fabric().Transfer(
+      fc_worker(), conv_worker, boundary_bytes_,
+      [this, conv_worker] { OnGradsAtConv(conv_worker); });
   PumpFc();
 }
 
 void HpEngine::OnGradsAtConv(int conv_worker) {
-  const double bwd = cost_.RangeSeconds(model_, 0, fc_first_layer_ - 1,
-                                        shard_batch_) *
-                     (1.0 - kForwardShare) *
+  const double bwd = conv_seconds_ * (1.0 - kForwardShare) *
                      cluster_->stragglers().SlowdownFor(current_iteration_,
                                                         conv_worker);
   cluster_->gpu(conv_worker)
@@ -114,33 +94,7 @@ void HpEngine::OnConvBackwardDone(int) {
   for (int i = 0; i < conv_worker_count(); ++i) conv_workers.push_back(i);
   sim::AllReduce(&cluster_->simulator(), &cluster_->fabric(),
                  std::move(conv_workers), conv_param_bytes_,
-                 [this] { OnConvAllReduceDone(); }, &cluster_->spans());
-}
-
-void HpEngine::OnConvAllReduceDone() {
-  stats_.iterations.push_back(runtime::IterationStats{
-      iteration_start_, cluster_->simulator().now()});
-  iter_span_.reset();  // emits the iteration framing span
-  if (current_iteration_ + 1 < target_iterations_) {
-    StartIteration(current_iteration_ + 1);
-  } else {
-    run_complete_ = true;
-  }
-}
-
-runtime::RunStats HpEngine::Run(int iterations) {
-  FELA_CHECK_GT(iterations, 0);
-  FELA_CHECK(stats_.iterations.empty());
-  target_iterations_ = iterations;
-  cluster_->fabric().ResetStats();
-  StartIteration(0);
-  cluster_->simulator().Run();
-  FELA_CHECK(run_complete_);
-  stats_.total_time = cluster_->simulator().now();
-  stats_.total_data_bytes = cluster_->fabric().total_data_bytes();
-  stats_.total_gpu_busy = cluster_->TotalGpuBusy();
-  stats_.control_messages = cluster_->fabric().control_message_count();
-  return stats_;
+                 [this] { FinishIteration(); }, &cluster_->spans());
 }
 
 }  // namespace fela::baselines

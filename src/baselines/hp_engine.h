@@ -1,15 +1,12 @@
 #ifndef FELA_BASELINES_HP_ENGINE_H_
 #define FELA_BASELINES_HP_ENGINE_H_
 
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "model/cost_model.h"
+#include "baselines/bsp_engine.h"
 #include "model/model.h"
 #include "runtime/cluster.h"
-#include "runtime/engine.h"
-#include "sim/span.h"
 
 namespace fela::baselines {
 
@@ -20,9 +17,8 @@ namespace fela::baselines {
 ///
 ///   1. each CONV worker forwards its batch shard and ships the boundary
 ///      activations to the FC worker (in-cast);
-///   2. the FC worker aggregates whatever shards have arrived into one
-///      batched FC forward+backward pass (amortizing the FC latency
-///      region) and returns the boundary gradients to those senders;
+///   2. the FC worker runs one FC forward+backward pass per arrived
+///      shard, FIFO, and returns the boundary gradients to its sender;
 ///   3. CONV workers run their backward pass;
 ///   4. CONV workers ring-all-reduce the CONV parameters (FC parameters
 ///      live only on the FC worker — no synchronization).
@@ -30,48 +26,37 @@ namespace fela::baselines {
 /// The FC worker idles at the front of each iteration and becomes an
 /// in-cast bottleneck as the batch grows — the two behaviours the paper
 /// uses to explain HP's crossover against DP (Fig. 8 discussion).
-class HpEngine : public runtime::Engine {
+class HpEngine final : public BspEngine {
  public:
   HpEngine(runtime::Cluster* cluster, const model::Model& model,
            double total_batch);
 
   std::string name() const override { return "HP"; }
-  runtime::RunStats Run(int iterations) override;
 
   int fc_first_layer() const { return fc_first_layer_; }
   int conv_worker_count() const { return cluster_->num_workers() - 1; }
   sim::NodeId fc_worker() const { return cluster_->num_workers() - 1; }
 
  private:
-  void StartIteration(int iteration);
+  void StartIteration(int iteration) override;
   void OnConvForwardDone(int conv_worker);
   void OnActivationsAtFc(int conv_worker);
   void PumpFc();
-  void OnFcPassDone(std::vector<int> shard_owners);
+  void OnFcPassDone(int conv_worker);
   void OnGradsAtConv(int conv_worker);
   void OnConvBackwardDone(int conv_worker);
-  void OnConvAllReduceDone();
 
-  double BoundaryBytesPerShard() const;
-
-  runtime::Cluster* cluster_;
-  model::Model model_;
-  model::LayerCostModel cost_;
-  double total_batch_;
   double shard_batch_;      // per CONV worker
   int fc_first_layer_;      // first FC layer index
   double conv_param_bytes_;
+  double boundary_bytes_;   // CONV -> FC activations of one shard
+  // Training-pass seconds of one shard, before straggler slowdown.
+  double conv_seconds_;     // CONV layers, on a CONV worker
+  double fc_seconds_;       // FC layers, on the FC worker
 
-  int target_iterations_ = 0;
-  int current_iteration_ = 0;
-  sim::SimTime iteration_start_ = 0.0;
   int conv_pending_ = 0;
   std::vector<int> fc_waiting_;  // conv workers whose shards await FC
   bool fc_busy_ = false;
-  bool run_complete_ = false;
-  runtime::RunStats stats_;
-  /// Iteration framing span on the driver track (= num_workers).
-  std::optional<obs::ScopedSpan> iter_span_;
 };
 
 }  // namespace fela::baselines

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/logging.h"
+#include "model/partition.h"
 
 namespace fela::baselines {
 
@@ -15,19 +17,13 @@ constexpr double kForwardShare = 1.0 / 3.0;
 
 MpEngine::MpEngine(runtime::Cluster* cluster, const model::Model& model,
                    double total_batch, double micro_batch)
-    : cluster_(cluster),
-      model_(model),
-      cost_(cluster->calibration(), &model::ProfileRepository::Default()),
-      total_batch_(total_batch),
-      micro_batch_(micro_batch) {
-  FELA_CHECK_GT(total_batch, 0.0);
+    : BspEngine(cluster, model, total_batch), micro_batch_(micro_batch) {
   FELA_CHECK_GT(micro_batch, 0.0);
   num_micros_ = std::max(
       1, static_cast<int>(std::ceil(total_batch / micro_batch)));
   const int stages =
       std::min(cluster->num_workers(), model_.layer_count());
-  stages_ = model::EqualLayerCountPartition(model_, stages);
-  CacheStageCosts();
+  SetStages(model::EqualLayerCountPartition(model_, stages));
 }
 
 double MpEngine::MicroBatchOf(int micro) const {
@@ -36,7 +32,8 @@ double MpEngine::MicroBatchOf(int micro) const {
   return total_batch_ - micro_batch_ * static_cast<double>(num_micros_ - 1);
 }
 
-void MpEngine::CacheStageCosts() {
+void MpEngine::SetStages(std::vector<std::pair<int, int>> stages) {
+  stages_ = std::move(stages);
   const double last = MicroBatchOf(num_micros_ - 1);
   stage_cost_.clear();
   for (const auto& [lo, hi] : stages_) {
@@ -58,19 +55,12 @@ double MpEngine::BoundaryBytes(int stage, int micro) const {
 }
 
 void MpEngine::StartIteration(int iteration) {
-  current_iteration_ = iteration;
-  iteration_start_ = cluster_->simulator().now();
   backwards_pending_ = num_micros_;
   tail_forwards_done_ = 0;
-  if (cluster_->spans().enabled()) {
-    iter_span_.emplace(&cluster_->spans(), cluster_->num_workers(),
-                       obs::Phase::kIteration, iteration);
-  }
+  OnIterationStart(iteration);
   for (int s = 0; s < num_stages(); ++s) {
     const double delay = cluster_->stragglers().DelayFor(iteration, s);
-    if (delay > 0.0) {
-      cluster_->gpu(s).BlockUntil(cluster_->simulator().now() + delay);
-    }
+    if (delay > 0.0) cluster_->gpu(s).BlockUntil(now() + delay);
   }
   // Stage 0 ingests every micro-batch back-to-back (samples are local).
   for (int k = 0; k < num_micros_; ++k) EnqueueForward(0, k);
@@ -119,35 +109,9 @@ void MpEngine::OnBackwardDone(int stage, int micro) {
         stage, stage - 1, BoundaryBytes(stage, micro),
         [this, stage, micro] { EnqueueBackward(stage - 1, micro); });
   } else {
+    // Every stage owns its parameters exclusively: no synchronization.
     if (--backwards_pending_ == 0) FinishIteration();
   }
-}
-
-void MpEngine::FinishIteration() {
-  // Every stage owns its parameters exclusively: no synchronization.
-  stats_.iterations.push_back(runtime::IterationStats{
-      iteration_start_, cluster_->simulator().now()});
-  iter_span_.reset();  // emits the iteration framing span
-  if (current_iteration_ + 1 < target_iterations_) {
-    StartIteration(current_iteration_ + 1);
-  } else {
-    run_complete_ = true;
-  }
-}
-
-runtime::RunStats MpEngine::Run(int iterations) {
-  FELA_CHECK_GT(iterations, 0);
-  FELA_CHECK(stats_.iterations.empty());
-  target_iterations_ = iterations;
-  cluster_->fabric().ResetStats();
-  StartIteration(0);
-  cluster_->simulator().Run();
-  FELA_CHECK(run_complete_);
-  stats_.total_time = cluster_->simulator().now();
-  stats_.total_data_bytes = cluster_->fabric().total_data_bytes();
-  stats_.total_gpu_busy = cluster_->TotalGpuBusy();
-  stats_.control_messages = cluster_->fabric().control_message_count();
-  return stats_;
 }
 
 }  // namespace fela::baselines

@@ -1,16 +1,13 @@
 #ifndef FELA_BASELINES_MP_ENGINE_H_
 #define FELA_BASELINES_MP_ENGINE_H_
 
-#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "model/cost_model.h"
+#include "baselines/bsp_engine.h"
 #include "model/model.h"
-#include "model/partition.h"
 #include "runtime/cluster.h"
-#include "runtime/engine.h"
-#include "sim/span.h"
 
 namespace fela::baselines {
 
@@ -21,7 +18,7 @@ namespace fela::baselines {
 /// cross stage boundaries as real transfers; the pipeline fill/drain
 /// bubble and the under-saturated micro-batch are exactly the two
 /// weaknesses the paper attributes to MP.
-class MpEngine : public runtime::Engine {
+class MpEngine : public BspEngine {
  public:
   /// `micro_batch` is the fixed micro-batch size; the paper's MP
   /// baseline keeps it small to amortize the bubble (default 4).
@@ -29,32 +26,37 @@ class MpEngine : public runtime::Engine {
            double total_batch, double micro_batch = 4.0);
 
   std::string name() const override { return "MP"; }
-  runtime::RunStats Run(int iterations) override;
 
   int num_stages() const { return static_cast<int>(stages_.size()); }
   int num_micro_batches() const { return num_micros_; }
   const std::vector<std::pair<int, int>>& stages() const { return stages_; }
 
+ protected:
+  /// Called once per iteration after its framing span opens and before
+  /// the straggler blocks; the stages may be moved here (SetStages).
+  virtual void OnIterationStart(int /*iteration*/) {}
+
+  /// Replaces the stage layer ranges (inclusive, contiguous, one per
+  /// stage) and rebuilds the per-stage cost cache.
+  void SetStages(std::vector<std::pair<int, int>> stages);
+  /// RangeSeconds of `stage` at the full micro-batch.
+  double FullMicroSeconds(int stage) const {
+    return stage_cost_[static_cast<size_t>(stage)].full;
+  }
+
  private:
-  void StartIteration(int iteration);
+  void StartIteration(int iteration) final;
   void EnqueueForward(int stage, int micro);
   void OnForwardDone(int stage, int micro);
   void EnqueueBackward(int stage, int micro);
   void OnBackwardDone(int stage, int micro);
-  void FinishIteration();
 
   /// Boundary activation bytes for one micro-batch entering `stage`.
   double BoundaryBytes(int stage, int micro) const;
   double MicroBatchOf(int micro) const;
   /// RangeSeconds of `stage` at the batch of `micro`, from stage_cost_.
   double StageSeconds(int stage, int micro) const;
-  /// Fills stage_cost_ for the current stages_.
-  void CacheStageCosts();
 
-  runtime::Cluster* cluster_;
-  model::Model model_;
-  model::LayerCostModel cost_;
-  double total_batch_;
   double micro_batch_;
   int num_micros_;
   std::vector<std::pair<int, int>> stages_;  // inclusive layer ranges
@@ -66,15 +68,8 @@ class MpEngine : public runtime::Engine {
   };
   std::vector<StageCost> stage_cost_;
 
-  int target_iterations_ = 0;
-  int current_iteration_ = 0;
-  sim::SimTime iteration_start_ = 0.0;
   int backwards_pending_ = 0;
   int tail_forwards_done_ = 0;
-  bool run_complete_ = false;
-  runtime::RunStats stats_;
-  /// Iteration framing span on the driver track (= num_workers).
-  std::optional<obs::ScopedSpan> iter_span_;
 };
 
 }  // namespace fela::baselines

@@ -1,52 +1,37 @@
 #include "baselines/ps_engine.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/logging.h"
+#include "model/memory_model.h"
 
 namespace fela::baselines {
 
 PsDpEngine::PsDpEngine(runtime::Cluster* cluster, const model::Model& model,
                        double total_batch, int num_servers)
-    : cluster_(cluster),
-      model_(model),
-      cost_(cluster->calibration(), &model::ProfileRepository::Default()),
-      memory_(cluster->calibration()),
-      total_batch_(total_batch),
-      num_servers_(num_servers) {
-  FELA_CHECK_GT(total_batch, 0.0);
+    : BspEngine(cluster, model, total_batch), num_servers_(num_servers) {
   FELA_CHECK_GE(num_servers, 1);
   FELA_CHECK_LE(num_servers, cluster->num_workers());
   const double per_worker =
       total_batch / static_cast<double>(cluster->num_workers());
-  const int max_fit = memory_.MaxBatchForModel(model_);
-  FELA_CHECK_GT(max_fit, 0);
-  micro_steps_ = std::max(
-      1, static_cast<int>(std::ceil(per_worker / static_cast<double>(max_fit))));
-  micro_batch_ = per_worker / static_cast<double>(micro_steps_);
+  const auto split = model::MemoryModel(cluster_->calibration())
+                         .SplitForModel(model_, per_worker);
+  micro_batch_ = split.micro_batch;
+  micro_steps_ = split.steps;
+  compute_seconds_ =
+      cost_.RangeSeconds(model_, 0, model_.layer_count() - 1, micro_batch_) *
+      static_cast<double>(micro_steps_);
   shard_bytes_ = model_.TotalParams() *
                  cluster_->calibration().bytes_per_scalar /
                  static_cast<double>(num_servers_);
 }
 
 void PsDpEngine::StartIteration(int iteration) {
-  current_iteration_ = iteration;
-  iteration_start_ = cluster_->simulator().now();
   compute_pending_ = cluster_->num_workers();
-  if (cluster_->spans().enabled()) {
-    iter_span_.emplace(&cluster_->spans(), cluster_->num_workers(),
-                       obs::Phase::kIteration, iteration);
-  }
-  const double compute_seconds =
-      cost_.RangeSeconds(model_, 0, model_.layer_count() - 1, micro_batch_) *
-      static_cast<double>(micro_steps_);
   for (int w = 0; w < cluster_->num_workers(); ++w) {
     sim::GpuDevice& gpu = cluster_->gpu(w);
     const double delay = cluster_->stragglers().DelayFor(iteration, w);
-    if (delay > 0.0) gpu.BlockUntil(cluster_->simulator().now() + delay);
+    if (delay > 0.0) gpu.BlockUntil(now() + delay);
     const double slowdown = cluster_->stragglers().SlowdownFor(iteration, w);
-    gpu.Enqueue(compute_seconds * slowdown,
+    gpu.Enqueue(compute_seconds_ * slowdown,
                 [this, w] { OnWorkerComputeDone(w); });
   }
 }
@@ -58,8 +43,7 @@ void PsDpEngine::OnWorkerComputeDone(int worker) {
   // node 0 cannot collect its gradient shard).
   const sim::FaultSchedule& faults = cluster_->faults();
   if (faults.Active() &&
-      faults.AnyUnreachableDuring(iteration_start_,
-                                  cluster_->simulator().now(), worker,
+      faults.AnyUnreachableDuring(iteration_start_, now(), worker,
                                   /*anchor=*/0)) {
     ++stats_.faults.crashes;
     stats_.stalled = true;
@@ -67,7 +51,7 @@ void PsDpEngine::OnWorkerComputeDone(int worker) {
   }
   if (--compute_pending_ > 0) return;
   // BSP: everyone pushes gradient shards to the servers.
-  sync_begin_ = cluster_->simulator().now();
+  sync_begin_ = now();
   transfers_pending_ = cluster_->num_workers() * num_servers_;
   for (int w = 0; w < cluster_->num_workers(); ++w) {
     for (int s = 0; s < num_servers_; ++s) {
@@ -91,44 +75,17 @@ void PsDpEngine::OnPushDone() {
 
 void PsDpEngine::OnPullDone() {
   if (--transfers_pending_ > 0) return;
-  const sim::SimTime now = cluster_->simulator().now();
   // The whole push/update/pull window is BSP synchronization from every
   // worker's perspective (it outranks the per-shard transfer spans the
   // fabric records, so attribution charges it to sync_wait).
   obs::SpanSink& spans = cluster_->spans();
-  if (spans.enabled() && now > sync_begin_) {
+  if (spans.enabled() && now() > sync_begin_) {
     for (int w = 0; w < cluster_->num_workers(); ++w) {
-      spans.Emit(obs::Span{w, obs::Phase::kSyncWait, sync_begin_, now,
+      spans.Emit(obs::Span{w, obs::Phase::kSyncWait, sync_begin_, now(),
                            current_iteration_, {}});
     }
   }
-  stats_.iterations.push_back(runtime::IterationStats{iteration_start_, now});
-  iter_span_.reset();  // emits the iteration framing span
-  if (current_iteration_ + 1 < target_iterations_) {
-    StartIteration(current_iteration_ + 1);
-  } else {
-    run_complete_ = true;
-  }
-}
-
-runtime::RunStats PsDpEngine::Run(int iterations) {
-  FELA_CHECK_GT(iterations, 0);
-  FELA_CHECK(stats_.iterations.empty());
-  target_iterations_ = iterations;
-  cluster_->fabric().ResetStats();
-  StartIteration(0);
-  cluster_->simulator().Run();
-  FELA_CHECK(run_complete_ || stats_.stalled)
-      << "simulation drained before finishing";
-  if (iter_span_) {
-    iter_span_->Cancel();  // aborted iteration: no framing span
-    iter_span_.reset();
-  }
-  stats_.total_time = cluster_->simulator().now();
-  stats_.total_data_bytes = cluster_->fabric().total_data_bytes();
-  stats_.total_gpu_busy = cluster_->TotalGpuBusy();
-  stats_.control_messages = cluster_->fabric().control_message_count();
-  return stats_;
+  FinishIteration();
 }
 
 }  // namespace fela::baselines

@@ -1,16 +1,11 @@
 #ifndef FELA_BASELINES_PS_ENGINE_H_
 #define FELA_BASELINES_PS_ENGINE_H_
 
-#include <optional>
 #include <string>
-#include <vector>
 
-#include "model/cost_model.h"
-#include "model/memory_model.h"
+#include "baselines/bsp_engine.h"
 #include "model/model.h"
 #include "runtime/cluster.h"
-#include "runtime/engine.h"
-#include "sim/span.h"
 
 namespace fela::baselines {
 
@@ -22,13 +17,12 @@ namespace fela::baselines {
 /// server, all 2 * N * param_bytes funnel through a single NIC — the
 /// bottleneck this engine exists to demonstrate (compare DpEngine's ring
 /// all-reduce, whose per-link traffic is independent of N).
-class PsDpEngine : public runtime::Engine {
+class PsDpEngine final : public BspEngine {
  public:
   PsDpEngine(runtime::Cluster* cluster, const model::Model& model,
              double total_batch, int num_servers = 1);
 
   std::string name() const override { return "PS-DP"; }
-  runtime::RunStats Run(int iterations) override;
 
   int num_servers() const { return num_servers_; }
   double shard_bytes() const { return shard_bytes_; }
@@ -39,32 +33,22 @@ class PsDpEngine : public runtime::Engine {
   int micro_steps() const { return micro_steps_; }
 
  private:
-  void StartIteration(int iteration);
+  void StartIteration(int iteration) override;
   void OnWorkerComputeDone(int worker);
   void OnPushDone();
   void OnPullDone();
 
-  runtime::Cluster* cluster_;
-  model::Model model_;
-  model::LayerCostModel cost_;
-  model::MemoryModel memory_;
-  double total_batch_;
   double micro_batch_;
   int micro_steps_;
+  /// Gradient-accumulated compute per worker, before straggler slowdown.
+  double compute_seconds_;
   int num_servers_;
   double shard_bytes_;
 
-  int target_iterations_ = 0;
-  int current_iteration_ = 0;
-  sim::SimTime iteration_start_ = 0.0;
   int compute_pending_ = 0;
   int transfers_pending_ = 0;
-  bool run_complete_ = false;
   /// When the BSP barrier was reached (push phase start) this iteration.
   sim::SimTime sync_begin_ = 0.0;
-  runtime::RunStats stats_;
-  /// Iteration framing span on the driver track (= num_workers).
-  std::optional<obs::ScopedSpan> iter_span_;
 };
 
 }  // namespace fela::baselines

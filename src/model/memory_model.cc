@@ -1,6 +1,9 @@
 #include "model/memory_model.h"
 
+#include <algorithm>
 #include <cmath>
+
+#include "common/logging.h"
 
 namespace fela::model {
 
@@ -26,6 +29,15 @@ int MemoryModel::MaxBatchForRange(const Model& model, int lo, int hi) const {
   if (budget < per_sample_act) return 0;
   if (per_sample_act <= 0.0) return 1 << 30;
   return static_cast<int>(std::floor(budget / per_sample_act));
+}
+
+MemoryModel::AccumulationSplit MemoryModel::SplitForModel(const Model& model,
+                                                         double batch) const {
+  const int max_fit = MaxBatchForModel(model);
+  FELA_CHECK_GT(max_fit, 0) << "model does not fit on the device at batch 1";
+  const int steps = std::max(
+      1, static_cast<int>(std::ceil(batch / static_cast<double>(max_fit))));
+  return {batch / static_cast<double>(steps), steps};
 }
 
 }  // namespace fela::model

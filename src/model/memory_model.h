@@ -42,6 +42,15 @@ class MemoryModel {
     return MaxBatchForRange(model, 0, model.layer_count() - 1);
   }
 
+  /// Gradient accumulation over the whole model: `batch` split into the
+  /// fewest equal micro-batches that each fit (steps == 1 when `batch`
+  /// itself fits). Checks that batch 1 fits.
+  struct AccumulationSplit {
+    double micro_batch = 0.0;
+    int steps = 1;
+  };
+  AccumulationSplit SplitForModel(const Model& model, double batch) const;
+
  private:
   sim::Calibration cal_;
 };

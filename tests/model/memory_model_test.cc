@@ -64,6 +64,22 @@ TEST_F(MemoryModelTest, FitsIsConsistentWithMaxBatch) {
   EXPECT_FALSE(mem_.FitsModel(m, max + 1));
 }
 
+TEST_F(MemoryModelTest, AccumulationSplitIsTheFewestFittingSteps) {
+  Model m = zoo::Vgg19();
+  const int max = mem_.MaxBatchForModel(m);
+  const auto fits = mem_.SplitForModel(m, 20.0);
+  EXPECT_EQ(fits.steps, 1);
+  EXPECT_EQ(fits.micro_batch, 20.0);
+  const auto exact = mem_.SplitForModel(m, static_cast<double>(max));
+  EXPECT_EQ(exact.steps, 1);
+  const auto over = mem_.SplitForModel(m, static_cast<double>(max) + 1.0);
+  EXPECT_EQ(over.steps, 2);
+  EXPECT_EQ(over.micro_batch, (static_cast<double>(max) + 1.0) / 2.0);
+  const auto large = mem_.SplitForModel(m, 5.0 * max);
+  EXPECT_EQ(large.steps, 5);
+  EXPECT_LE(large.micro_batch, static_cast<double>(max));
+}
+
 TEST_F(MemoryModelTest, OversizedModelReportsZero) {
   // A model whose parameters alone exceed device memory.
   std::vector<Layer> layers;
